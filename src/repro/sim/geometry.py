@@ -3,8 +3,8 @@
 All functions operate on numpy arrays of shape ``(N, 2)`` and avoid
 Python-level loops over points (per the HPC guides: broadcastable
 segment math, views over copies).  These primitives back
-:mod:`repro.sim.tracks` (track construction) and the renderer's
-point-classification hot path.
+:mod:`repro.sim.tracks`: track construction, and the centreline
+projection behind every track query.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ __all__ = [
     "resample_closed",
     "normals_closed",
     "offset_closed",
+    "ClosedPolyline",
     "project_points",
     "point_in_closed_polyline",
 ]
@@ -58,7 +59,7 @@ def resample_closed(points: np.ndarray, n: int) -> np.ndarray:
 
     Uniform in arclength, starting at the original vertex 0.  This keeps
     downstream per-segment math well conditioned (near-equal segment
-    lengths) and lets the renderer cull segments by index windows.
+    lengths).
     """
     pts = _as_points(points)
     if n < 3:
@@ -103,10 +104,31 @@ def offset_closed(points: np.ndarray, distance: float) -> np.ndarray:
     return pts + distance * normals_closed(pts)
 
 
+class ClosedPolyline:
+    """A closed polyline with its per-segment geometry computed once.
+
+    :func:`project_points` needs each segment's vector, squared length,
+    length and starting arclength.  A caller that projects onto the same
+    polyline many times (a :class:`~repro.sim.tracks.Track`) builds one
+    of these and passes it in place of the ``(S, 2)`` array, so the
+    per-call work is only the per-query kernel.  A plain array is
+    wrapped in one per call, so both forms give bitwise-equal results.
+    The points must not be mutated after construction.
+    """
+
+    def __init__(self, points: np.ndarray) -> None:
+        pts = _as_points(points)
+        self.points = pts
+        self.seg_vec = np.roll(pts, -1, axis=0) - pts            # (S, 2)
+        seg_len2 = np.einsum("ij,ij->i", self.seg_vec, self.seg_vec)
+        seg_len2[seg_len2 == 0] = 1.0
+        self.seg_len2 = seg_len2                                 # (S,)
+        self.seg_lengths = polyline_lengths(pts, closed=True)    # (S,)
+        self.s_vertices = cumulative_arclength(pts, closed=True)  # (S,)
+
+
 def project_points(
-    query: np.ndarray,
-    polyline: np.ndarray,
-    segment_mask: np.ndarray | None = None,
+    query: np.ndarray, polyline: np.ndarray | ClosedPolyline
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Project query points onto a closed polyline.
 
@@ -115,11 +137,8 @@ def project_points(
     query:
         ``(P, 2)`` points to project.
     polyline:
-        ``(S, 2)`` closed polyline vertices.
-    segment_mask:
-        Optional boolean ``(S,)`` mask restricting which segments are
-        considered (renderer culling).  At least one segment must be
-        enabled.
+        ``(S, 2)`` closed polyline vertices, or a :class:`ClosedPolyline`
+        carrying them with their segment geometry precomputed.
 
     Returns
     -------
@@ -135,41 +154,22 @@ def project_points(
         with the distance this gives a signed cross-track error.
     """
     pts = np.atleast_2d(np.asarray(query, dtype=np.float64))
-    poly = _as_points(polyline)
-    starts = poly
-    ends = np.roll(poly, -1, axis=0)
-    if segment_mask is not None:
-        mask = np.asarray(segment_mask, dtype=bool)
-        if mask.shape != (len(poly),):
-            raise ValueError(f"segment_mask shape {mask.shape} != ({len(poly)},)")
-        if not mask.any():
-            raise ValueError("segment_mask disables every segment")
-        idx_map = np.flatnonzero(mask)
-        starts = starts[idx_map]
-        ends = ends[idx_map]
-    else:
-        idx_map = np.arange(len(poly))
+    line = polyline if isinstance(polyline, ClosedPolyline) else ClosedPolyline(polyline)
+    starts = line.points
+    seg_vec = line.seg_vec
 
-    seg_vec = ends - starts                                  # (S', 2)
-    seg_len2 = np.einsum("ij,ij->i", seg_vec, seg_vec)       # (S',)
-    seg_len2[seg_len2 == 0] = 1.0
-
-    # (P, S', 2) displacement from each segment start to each point.
+    # (P, S, 2) displacement from each segment start to each point.
     disp = pts[:, None, :] - starts[None, :, :]
-    t = np.einsum("psi,si->ps", disp, seg_vec) / seg_len2    # (P, S')
+    t = np.einsum("psi,si->ps", disp, seg_vec) / line.seg_len2   # (P, S)
     np.clip(t, 0.0, 1.0, out=t)
     closest = starts[None, :, :] + t[..., None] * seg_vec[None, :, :]
     delta = pts[:, None, :] - closest
-    dist2 = np.einsum("psi,psi->ps", delta, delta)           # (P, S')
+    dist2 = np.einsum("psi,psi->ps", delta, delta)           # (P, S)
 
     best = np.argmin(dist2, axis=1)                          # (P,)
     rows = np.arange(len(pts))
     distances = np.sqrt(dist2[rows, best])
-
-    s_vertices = cumulative_arclength(poly, closed=True)
-    seg_lengths = polyline_lengths(poly, closed=True)
-    seg_idx = idx_map[best]
-    arclengths = s_vertices[seg_idx] + t[rows, best] * seg_lengths[seg_idx]
+    arclengths = line.s_vertices[best] + t[rows, best] * line.seg_lengths[best]
 
     # Cross product of segment direction with point displacement gives
     # the side: positive = left of travel.

@@ -137,6 +137,7 @@ class DrivingSession:
         self._lap_start_time = 0.0
         self._unwrapped_s = 0.0
         self._respawn_pending = False
+        self._projected: tuple[CarState, float] | None = None
         return self._observe()
 
     # ------------------------------------------------------------ step
@@ -201,10 +202,23 @@ class DrivingSession:
 
     # --------------------------------------------------------- observe
 
+    def state_arclength(self) -> float:
+        """Centreline arclength of the current :attr:`state` (m).
+
+        Reuses the projection :meth:`_observe` made of this very state
+        object; projects afresh only once :attr:`state` is replaced.
+        """
+        state = self.state
+        if self._projected is None or self._projected[0] is not state:
+            query = self.track.query(np.array([[state.x, state.y]]))
+            self._projected = (state, float(query.arclength[0]))
+        return self._projected[1]
+
     def _observe(self) -> Observation:
         query = self.track.query(np.array([[self.state.x, self.state.y]]))
         cte = float(query.signed_cte[0])
         arclength = float(query.arclength[0])
+        self._projected = (self.state, arclength)
         if self.render_enabled:
             image = self.renderer.render(
                 self.state.x, self.state.y, self.state.heading, rng=self._rng

@@ -29,11 +29,10 @@ import numpy as np
 from repro.common.errors import TrackError
 from repro.common.units import inches_to_m, m_to_inches
 from repro.sim.geometry import (
-    cumulative_arclength,
+    ClosedPolyline,
     offset_closed,
     point_in_closed_polyline,
     polyline_length,
-    polyline_lengths,
     project_points,
     resample_closed,
 )
@@ -88,6 +87,9 @@ class Track:
     The centreline must be counter-clockwise (enforced via the shoelace
     area); travel direction is along increasing vertex index.  All
     coordinates are metres.
+
+    A track is immutable after construction: its segment geometry and
+    interpolation ring are computed once and reused by every lookup.
     """
 
     def __init__(
@@ -111,9 +113,9 @@ class Track:
         self.name = name
         self.width = float(width)
         self.centerline = resample_closed(pts, resolution)
+        self.centerline.flags.writeable = False  # lookups cache geometry derived from it
         self.metadata = dict(metadata or {})
-        self._s_vertices = cumulative_arclength(self.centerline, closed=True)
-        self._seg_lengths = polyline_lengths(self.centerline, closed=True)
+        self._line = ClosedPolyline(self.centerline)
         min_radius = self.minimum_radius()
         if min_radius <= self.half_width:
             raise TrackError(
@@ -131,7 +133,7 @@ class Track:
     @cached_property
     def length(self) -> float:
         """Centreline length (m)."""
-        return float(self._seg_lengths.sum())
+        return float(self._line.seg_lengths.sum())
 
     @cached_property
     def inner_line(self) -> np.ndarray:
@@ -163,36 +165,53 @@ class Track:
 
     # ----------------------------------------------------- frame lookup
 
+    @cached_property
+    def _ring(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Interpolation knots of the closed centreline for :meth:`point_at`.
+
+        The vertex arclengths with ``length`` appended, and contiguous
+        vertex x and y columns with vertex 0 repeated at the end.
+        """
+        s_ring = np.concatenate([self._line.s_vertices, [self.length]])
+        ring = np.vstack([self.centerline, self.centerline[:1]])
+        return s_ring, np.ascontiguousarray(ring[:, 0]), np.ascontiguousarray(ring[:, 1])
+
     def point_at(self, s: float | np.ndarray) -> np.ndarray:
         """Centreline point(s) at arclength ``s`` (wraps modulo length)."""
         s = np.asarray(s, dtype=np.float64) % self.length
-        ring = np.vstack([self.centerline, self.centerline[:1]])
-        s_ring = np.concatenate([self._s_vertices, [self.length]])
-        x = np.interp(s, s_ring, ring[:, 0])
-        y = np.interp(s, s_ring, ring[:, 1])
+        s_ring, ring_x, ring_y = self._ring
+        x = np.interp(s, s_ring, ring_x)
+        y = np.interp(s, s_ring, ring_y)
         return np.stack([x, y], axis=-1)
 
-    def heading_at(self, s: float) -> float:
-        """Travel heading (radians) at arclength ``s``."""
-        eps = self.length / (4 * len(self.centerline))
-        ahead = self.point_at(s + eps)
-        behind = self.point_at(s - eps)
-        diff = ahead - behind
-        return float(np.arctan2(diff[1], diff[0]))
+    def heading_at(self, s: float | np.ndarray) -> float | np.ndarray:
+        """Travel heading (radians) at arclength ``s``.
 
-    def curvature_at(self, s: float) -> float:
-        """Signed curvature (1/m) at arclength ``s`` (positive = left turn)."""
+        A scalar ``s`` gives a ``float``; an array gives an array of
+        the same shape.
+        """
+        eps = self.length / (4 * len(self.centerline))
+        ahead, behind = self.point_at(np.stack([s + eps, s - eps]))
+        diff = ahead - behind
+        heading = np.arctan2(diff[..., 1], diff[..., 0])
+        return float(heading) if np.ndim(s) == 0 else heading
+
+    def curvature_at(self, s: float | np.ndarray) -> float | np.ndarray:
+        """Signed curvature (1/m) at arclength ``s`` (positive = left turn).
+
+        A scalar ``s`` gives a ``float``; an array gives an array of
+        the same shape.
+        """
         eps = max(self.length / len(self.centerline), 1e-3)
-        h0 = self.heading_at(s - eps)
-        h1 = self.heading_at(s + eps)
+        h0, h1 = self.heading_at(np.stack([s - eps, s + eps]))
         dh = np.arctan2(np.sin(h1 - h0), np.cos(h1 - h0))
-        return float(dh / (2 * eps))
+        curvature = dh / (2 * eps)
+        return float(curvature) if np.ndim(s) == 0 else curvature
 
     def minimum_radius(self) -> float:
         """Smallest centreline turn radius (m)."""
         samples = np.linspace(0, self.length, len(self.centerline), endpoint=False)
-        curvatures = np.abs([self.curvature_at(float(s)) for s in samples])
-        max_curvature = float(curvatures.max())
+        max_curvature = float(np.abs(self.curvature_at(samples)).max())
         return np.inf if max_curvature == 0 else 1.0 / max_curvature
 
     def start_pose(self, lateral_offset: float = 0.0) -> tuple[float, float, float]:
@@ -214,13 +233,9 @@ class Track:
 
     # ----------------------------------------------------------- query
 
-    def query(
-        self, points: np.ndarray, segment_mask: np.ndarray | None = None
-    ) -> TrackQuery:
+    def query(self, points: np.ndarray) -> TrackQuery:
         """Project world points onto the centreline (vectorised)."""
-        distance, arclength, side = project_points(
-            points, self.centerline, segment_mask=segment_mask
-        )
+        distance, arclength, side = project_points(points, self._line)
         return TrackQuery(
             distance=distance,
             arclength=arclength,
@@ -231,20 +246,6 @@ class Track:
     def contains(self, points: np.ndarray) -> np.ndarray:
         """Boolean mask: which points lie on the drivable surface."""
         return self.query(points).on_track
-
-    def segments_near(self, xy: np.ndarray, radius: float) -> np.ndarray:
-        """Boolean mask of centreline segments within ``radius`` of ``xy``.
-
-        Used by the renderer to cull the projection hot path: the camera
-        only ever sees a few metres of track, so most segments can be
-        skipped.  Falls back to all segments if nothing is near.
-        """
-        xy = np.asarray(xy, dtype=np.float64)
-        mids = 0.5 * (self.centerline + np.roll(self.centerline, -1, axis=0))
-        near = np.linalg.norm(mids - xy, axis=1) <= radius
-        if not near.any():
-            return np.ones(len(self.centerline), dtype=bool)
-        return near
 
     def enclosed_by_outer(self, points: np.ndarray) -> np.ndarray:
         """Whether points fall inside the outer boundary (infield or lane)."""

@@ -34,6 +34,52 @@ class TestObservation:
         assert obs.image.sum() == 0
 
 
+class TestStateArclength:
+    @pytest.fixture
+    def projections(self, monkeypatch):
+        """Count calls of the projection behind every track query."""
+        import repro.sim.tracks as tracks
+
+        calls = []
+        real = tracks.project_points
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(tracks, "project_points", counting)
+        return calls
+
+    def test_reuses_the_observed_projection(self, session_factory, projections):
+        session = session_factory(render=False)
+        obs = session.step(0.2, 0.6)
+        before = len(projections)
+        assert session.state_arclength() == obs.arclength
+        assert len(projections) == before
+
+    def test_reprojects_a_replaced_state(self, session_factory, oval_track, projections):
+        from repro.sim.dynamics import CarState
+
+        session = session_factory(render=False)
+        session.step(0.0, 0.5)
+        x, y, heading = oval_track.pose_at(3.0)
+        session.state = CarState(x=x, y=y, heading=heading)
+        before = len(projections)
+        assert session.state_arclength() == pytest.approx(3.0, abs=1e-6)
+        assert len(projections) == before + 1
+
+    def test_expert_projects_once_per_tick(self, session_factory, projections):
+        from repro.core.drivers import PurePursuitDriver
+
+        session = session_factory(render=False)
+        driver = PurePursuitDriver(session)
+        obs = session.reset()
+        before = len(projections)
+        for _ in range(20):
+            obs = session.step(*driver(obs.image, obs.cte, obs.speed))
+        assert len(projections) - before == 20
+
+
 class TestLaps:
     def test_expert_counts_laps(self, session_factory):
         from repro.core.drivers import PurePursuitDriver
