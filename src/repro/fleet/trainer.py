@@ -146,9 +146,6 @@ class IncrementalTrainer:
                 batch_size=self.batch_size,
                 epochs=self.epochs,
                 shuffle_seed=seed_from_name(f"fleet-train-{round_no}", self.seed),
-                # Compiled training plans are bitwise-identical to the
-                # reference layers, so checkpoints do not depend on it.
-                use_plan=True,
             )
             history = trainer.fit(model, split)
             train_s = self._charge_train_time(model, history.samples_seen)

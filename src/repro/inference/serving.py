@@ -55,17 +55,6 @@ class ServingStats:
         return self.responses / max(self.requests, 1)
 
     @property
-    def control_rate_hz(self) -> float:
-        """Deprecated alias for :attr:`fresh_response_ratio`.
-
-        Historically misnamed: despite the ``_hz`` suffix it has always
-        been the dimensionless responses/requests ratio.  Use
-        :attr:`fresh_response_ratio` (same value) or
-        :attr:`fresh_command_hz` (a true rate) instead.
-        """
-        return self.fresh_response_ratio
-
-    @property
     def fresh_command_hz(self) -> float:
         """Fresh commands per second of drive time (a true rate in Hz).
 

@@ -20,7 +20,7 @@ from repro.ml.models import (
 )
 from repro.ml.network import Sequential
 from repro.ml.optimizers import SGD, Adam, RMSProp, get_optimizer
-from repro.ml.plan import InferencePlan, TrainingPlan
+from repro.ml.plan import InferencePlan
 from repro.ml.serialize import (
     load_model,
     load_model_bytes,
@@ -42,7 +42,6 @@ __all__ = [
     "optimizers",
     "Sequential",
     "InferencePlan",
-    "TrainingPlan",
     "SGD",
     "Adam",
     "RMSProp",

@@ -13,11 +13,12 @@ copies" idiom from the HPC guides.
 
 All tensors are float32, batch-first, channels-last (Keras layout).
 
-This stack is the *reference* implementation: clear, allocation-happy,
-one Python call per layer.  :mod:`repro.ml.plan` compiles a built stack
-into a fast path (im2col GEMM convs, preallocated buffers); its
-training kernels mirror this module's math op-for-op, pinned by the
-parity suite in ``tests/ml/test_plan_parity.py``.
+This stack is the *reference* implementation and the only training
+path: clear, allocation-happy, one Python call per layer.
+:mod:`repro.ml.plan` compiles a built stack into a forward-only
+inference fast path (im2col GEMM convs, preallocated buffers) whose
+outputs match this module at float32 tolerances, pinned by the parity
+suite in ``tests/ml/test_plan_parity.py``.
 """
 
 from __future__ import annotations

@@ -146,18 +146,19 @@ class DonkeyModel:
                 raise ShapeError(f"shape mismatch: {param.shape} vs {weight.shape}")
             param[...] = np.asarray(weight, dtype=param.dtype)
 
-    # ---------------------------------------------- compiled fast path
+    # ----------------------------------------- compiled inference path
 
     def _networks(self) -> list[Sequential]:
         """Every ``Sequential`` this model owns (attribute order)."""
         return [v for v in self.__dict__.values() if isinstance(v, Sequential)]
 
-    def compile_plans(self, training: bool = False) -> bool:
-        """Compile execution plans for every sub-network ahead of time.
+    def compile_plans(self) -> bool:
+        """Compile inference plans for every sub-network ahead of time.
 
-        Returns ``True`` when the whole model runs on the compiled fast
-        path, ``False`` when any stack holds a layer without a compiled
-        kernel (callers then stay on the reference layers).  Serving
+        Returns ``True`` when the whole model's inference runs on the
+        compiled fast path, ``False`` when any stack holds a layer
+        without a compiled kernel (callers then stay on the reference
+        layers).  Serving
         calls this when a model is pinned to a replica so the first
         request pays no compile/alloc cost.
         """
@@ -165,38 +166,21 @@ class DonkeyModel:
         try:
             for net in nets:
                 net.plan()
-                if training:
-                    net.training_plan()
         except PlanError:
             return False
         return bool(nets)
 
-    def supports_fast_path(self) -> bool:
-        """True when training can run through the compiled plans."""
-        return self.compile_plans(training=True)
+    def fast_forward(self, x) -> np.ndarray:
+        """Inference-mode forward through the compiled plans.
 
-    def fast_forward(self, x, training: bool = False) -> np.ndarray:
-        """Compiled forward pass (single-backbone default).
-
-        ``training=True`` runs the training plan — dropout on,
-        activations cached for :meth:`fast_backward` — and matches the
-        reference ``forward`` bit for bit; ``training=False`` runs the
-        inference plan (allclose at float32 tolerances).  Models that
-        compose several networks override this pair.
+        Matches ``forward(x, training=False)`` at float32 tolerances
+        (allclose, not bitwise).  This is the single-backbone default;
+        models that compose several networks override it.
         """
         net = getattr(self, "net", None)
         if net is None:
             raise PlanError(f"{type(self).__name__} does not define a fast path")
-        if training:
-            return net.training_plan().forward(x)
         return net.plan().run(x)
-
-    def fast_backward(self, grad: np.ndarray) -> None:
-        """Backprop through the cached ``fast_forward(training=True)``."""
-        net = getattr(self, "net", None)
-        if net is None:
-            raise PlanError(f"{type(self).__name__} does not define a fast path")
-        net.training_plan().backward(grad)
 
     # ---------------------------------------------- evaluation surface
 

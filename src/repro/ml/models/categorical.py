@@ -79,23 +79,11 @@ class CategoricalModel(DonkeyModel):
         g_throttle = self.throttle_head.backward(grad[:, N_STEERING_BINS:])
         self.trunk.backward(g_angle + g_throttle)
 
-    def fast_forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        if training:
-            feat = self.trunk.training_plan().forward(x)
-            probs = self.angle_head.training_plan().forward(feat)
-            throttle = self.throttle_head.training_plan().forward(feat)
-        else:
-            feat = self.trunk.plan().run(x)
-            probs = self.angle_head.plan().run(feat)
-            throttle = self.throttle_head.plan().run(feat)
+    def fast_forward(self, x: np.ndarray) -> np.ndarray:
+        feat = self.trunk.plan().run(x)
+        probs = self.angle_head.plan().run(feat)
+        throttle = self.throttle_head.plan().run(feat)
         return np.concatenate([probs, throttle], axis=1)
-
-    def fast_backward(self, grad: np.ndarray) -> None:
-        g_angle = self.angle_head.training_plan().backward(grad[:, :N_STEERING_BINS])
-        g_throttle = self.throttle_head.training_plan().backward(
-            grad[:, N_STEERING_BINS:]
-        )
-        self.trunk.training_plan().backward(g_angle + g_throttle)
 
     @property
     def params(self) -> list[np.ndarray]:

@@ -73,22 +73,11 @@ class MemoryModel(DonkeyModel):
         g_joined = self.head.backward(grad)
         self.trunk.backward(g_joined[:, : self._feat_dim])
 
-    def fast_forward(
-        self, x: tuple[np.ndarray, np.ndarray], training: bool = False
-    ) -> np.ndarray:
+    def fast_forward(self, x: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
         images, history = self._unpack(x)
-        if training:
-            feat = self.trunk.training_plan().forward(images)
-        else:
-            feat = self.trunk.plan().run(images)
+        feat = self.trunk.plan().run(images)
         joined = np.concatenate([feat, history.reshape(len(history), -1)], axis=1)
-        if training:
-            return self.head.training_plan().forward(joined)
         return self.head.plan().run(joined)
-
-    def fast_backward(self, grad: np.ndarray) -> None:
-        g_joined = self.head.training_plan().backward(grad)
-        self.trunk.training_plan().backward(g_joined[:, : self._feat_dim])
 
     def _unpack(self, x) -> tuple[np.ndarray, np.ndarray]:
         if not (isinstance(x, (tuple, list)) and len(x) == 2):

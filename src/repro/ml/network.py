@@ -12,7 +12,7 @@ import numpy as np
 from repro.common.errors import PlanError, ShapeError
 from repro.common.rng import ensure_rng
 from repro.ml.layers import Layer
-from repro.ml.plan import InferencePlan, TrainingPlan
+from repro.ml.plan import InferencePlan
 
 __all__ = ["Sequential"]
 
@@ -38,9 +38,8 @@ class Sequential:
             shape = layer.output_shape(shape)
         self.output_shape = shape
         self._plan: InferencePlan | None = None
-        self._training_plan: TrainingPlan | None = None
 
-    # ------------------------------------------------------------ plans
+    # ------------------------------------------------------------- plan
 
     def plan(self) -> InferencePlan:
         """Compiled inference fast path (cached; raises ``PlanError``
@@ -48,12 +47,6 @@ class Sequential:
         if self._plan is None:
             self._plan = InferencePlan(self.layers, self.input_shape)
         return self._plan
-
-    def training_plan(self) -> TrainingPlan:
-        """Compiled training fast path (cached, reference-exact math)."""
-        if self._training_plan is None:
-            self._training_plan = TrainingPlan(self.layers, self.input_shape)
-        return self._training_plan
 
     # ------------------------------------------------------------ pass
 

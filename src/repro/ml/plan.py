@@ -1,24 +1,17 @@
-"""Compiled execution plans: the fast path for a built ``Sequential``.
+"""Compiled inference plan: the serving fast path for a built ``Sequential``.
 
 The layer stack in :mod:`repro.ml.layers` is the *reference*
-implementation — readable, allocation-happy, one Python call per layer
-per batch.  This module compiles a built :class:`Sequential` into flat
-step programs that run a whole pass with minimal Python dispatch:
-
-* :class:`InferencePlan` — forward only.  Activation buffers are
-  preallocated per batch size (re-keyed transparently when the batch
-  size changes), convolutions run as a single im2col GEMM over an
-  ``as_strided`` patch view copied into a cached column buffer, affine
-  + activation kernels are fused in place, and every op is an
-  ``out=``-style float32 numpy call.  Output parity with the reference
-  stack is *allclose* at float32 tolerances (the GEMM changes the
-  accumulation order).
-* :class:`TrainingPlan` — forward + backward.  Kernels mirror the
-  reference math op-for-op (same operand order, same reductions) while
-  writing into preallocated activation/grad workspaces, so a training
-  step through the plan produces **identical** post-step weights to the
-  reference stack — the parity suite pins this exactly, not just
-  approximately.
+implementation and the only training path — readable,
+allocation-happy, one Python call per layer per batch.  This module
+compiles a built :class:`Sequential` into a flat forward-only step
+program, :class:`InferencePlan`, that runs a whole pass with minimal
+Python dispatch.  Activation buffers are preallocated per batch size
+(re-keyed transparently when the batch size changes), convolutions run
+as a single im2col GEMM over an ``as_strided`` patch view copied into a
+cached column buffer, affine + activation kernels are fused in place,
+and every op is an ``out=``-style float32 numpy call.  Output parity
+with the reference stack is *allclose* at float32 tolerances (the GEMM
+changes the accumulation order).
 
 Plans hold *views* of the layer parameters, so in-place weight updates
 (``Sequential.set_weights``, optimizer steps) are visible without
@@ -26,9 +19,9 @@ recompiling.  Compiling a stack that contains an unsupported (custom)
 layer type raises :class:`~repro.common.errors.PlanError`; callers fall
 back to the reference stack.
 
-Arrays returned by ``run``/``forward``/``backward`` are workspace
-buffers owned by the plan: they are overwritten by the next call at the
-same batch size.  Copy them if they must outlive the next pass.
+Arrays returned by ``run`` are workspace buffers owned by the plan:
+they are overwritten by the next call at the same batch size.  Copy
+them if they must outlive the next pass.
 """
 
 from __future__ import annotations
@@ -53,10 +46,9 @@ from repro.ml.layers import (
     Layer,
     MaxPool2D,
     TimeDistributed,
-    _sigmoid,
 )
 
-__all__ = ["InferencePlan", "TrainingPlan", "MAX_BATCH_KEYS"]
+__all__ = ["InferencePlan", "MAX_BATCH_KEYS"]
 
 #: Distinct batch sizes whose workspaces a plan keeps alive (LRU).
 MAX_BATCH_KEYS = 16
@@ -105,79 +97,19 @@ def _affine_gemm(cols2: np.ndarray, k2: np.ndarray, b: np.ndarray, out2: np.ndar
         out2 += b
 
 
-def _activate_mirror(name: str, buf: np.ndarray) -> None:
-    """Activation bitwise-identical to ``Activation.forward``, in place."""
-    if name == "relu":
-        np.maximum(buf, 0.0, out=buf)
-    elif name == "tanh":
-        np.tanh(buf, out=buf)
-    elif name == "sigmoid":
-        np.negative(buf, out=buf)
-        np.exp(buf, out=buf)
-        np.add(buf, 1.0, out=buf)
-        np.divide(1.0, buf, out=buf)
-    elif name == "softmax":
-        m = buf.max(axis=-1, keepdims=True)
-        np.subtract(buf, m, out=buf)
-        np.exp(buf, out=buf)
-        s = buf.sum(axis=-1, keepdims=True)
-        np.divide(buf, s, out=buf)
-
-
-def _act_backward_mirror(
-    name: str, grad: np.ndarray, cache: np.ndarray, ws: dict
-) -> np.ndarray:
-    """Activation backward bitwise-identical to ``Activation.backward``."""
-    if name in ("linear", "softmax"):
-        return grad
-    g = ws["gact"]
-    t = ws["tact"]
-    if name == "relu":
-        np.greater(cache, 0, out=ws["mact"])
-        np.multiply(grad, ws["mact"], out=g)
-    elif name == "tanh":
-        np.power(cache, 2, out=t)
-        np.subtract(1.0, t, out=t)
-        np.multiply(grad, t, out=g)
-    else:  # sigmoid
-        np.multiply(grad, cache, out=g)
-        np.subtract(1.0, cache, out=t)
-        g *= t
-    return g
-
-
-def _act_backward_buffers(name: str | None, shape: tuple[int, ...]) -> dict:
-    if name in (None, "linear", "softmax"):
-        return {}
-    ws = {"gact": np.empty(shape, _F32), "tact": np.empty(shape, _F32)}
-    if name == "relu":
-        ws["mact"] = np.empty(shape, bool)
-    return ws
-
-
 # -------------------------------------------------------------- steps
 
 
 class _Step:
-    """One compiled layer: allocation + kernels for both plans."""
+    """One compiled layer: workspace allocation + inference kernel."""
 
-    #: Batchless input/output shapes, filled by the compiler.
-    in_shape: tuple[int, ...]
+    #: Batchless output shape, filled by the compiler.
     out_shape: tuple[int, ...]
 
-    def alloc_infer(self, n: int) -> dict:
+    def alloc(self, n: int) -> dict:
         return {}
 
     def infer(self, x: np.ndarray, ws: dict) -> np.ndarray:
-        raise NotImplementedError
-
-    def alloc_train(self, n: int) -> dict:
-        return {}
-
-    def train_forward(self, x: np.ndarray, ws: dict) -> np.ndarray:
-        raise NotImplementedError
-
-    def backward(self, grad: np.ndarray, ws: dict) -> np.ndarray:
         raise NotImplementedError
 
 
@@ -186,7 +118,7 @@ class _DenseStep(_Step):
         self.layer = layer
         self.act = layer.activation.name if layer.activation is not None else None
 
-    def alloc_infer(self, n: int) -> dict:
+    def alloc(self, n: int) -> dict:
         return {"out": np.empty((n, self.layer.units), _F32)}
 
     def infer(self, x: np.ndarray, ws: dict) -> np.ndarray:
@@ -196,29 +128,6 @@ class _DenseStep(_Step):
         if self.act is not None:
             _activate_inplace(self.act, out)
         return out
-
-    def alloc_train(self, n: int) -> dict:
-        shape = (n, self.layer.units)
-        ws = {"out": np.empty(shape, _F32), "dx": np.empty((n, *self.in_shape), _F32)}
-        ws.update(_act_backward_buffers(self.act, shape))
-        return ws
-
-    def train_forward(self, x: np.ndarray, ws: dict) -> np.ndarray:
-        out = ws["out"]
-        np.matmul(x, self.layer.w, out=out)
-        np.add(out, self.layer.b, out=out)
-        if self.act is not None:
-            _activate_mirror(self.act, out)
-        ws["x"] = x
-        return out
-
-    def backward(self, grad: np.ndarray, ws: dict) -> np.ndarray:
-        lay = self.layer
-        if self.act is not None:
-            grad = _act_backward_mirror(self.act, grad, ws["out"], ws)
-        np.matmul(ws["x"].T, grad, out=lay.grads[0])
-        np.sum(grad, axis=0, out=lay.grads[1])
-        return np.matmul(grad, lay.w.T, out=ws["dx"])
 
 
 class _Conv2DStep(_Step):
@@ -240,7 +149,7 @@ class _Conv2DStep(_Step):
             strides=(sn, lay.sh * sh, lay.sw * sw, sh, sw, sc),
         )
 
-    def alloc_infer(self, n: int) -> dict:
+    def alloc(self, n: int) -> dict:
         lay = self.layer
         cols = np.empty((n, self.oh, self.ow, lay.kh, lay.kw, self.cin), _F32)
         out = np.empty((n, self.oh, self.ow, lay.filters), _F32)
@@ -258,58 +167,6 @@ class _Conv2DStep(_Step):
         if self.act is not None:
             _activate_inplace(self.act, out)
         return out
-
-    def alloc_train(self, n: int) -> dict:
-        lay = self.layer
-        shape = (n, self.oh, self.ow, lay.filters)
-        ws = {
-            "out": np.empty(shape, _F32),
-            "tmp_f": np.empty(shape, _F32),
-            "tmp_b": np.empty((n, self.oh, self.ow, self.cin), _F32),
-            "dx": np.empty((n, *self.in_shape), _F32),
-        }
-        ws.update(_act_backward_buffers(self.act, shape))
-        return ws
-
-    def train_forward(self, x: np.ndarray, ws: dict) -> np.ndarray:
-        lay = self.layer
-        out = ws["out"]
-        tmp = ws["tmp_f"]
-        out[:] = lay.b
-        for i in range(lay.kh):
-            for j in range(lay.kw):
-                patch = x[
-                    :, i : i + lay.sh * self.oh : lay.sh, j : j + lay.sw * self.ow : lay.sw
-                ]
-                np.matmul(patch, lay.k[i, j], out=tmp)
-                out += tmp
-        if self.act is not None:
-            _activate_mirror(self.act, out)
-        ws["x"] = x
-        return out
-
-    def backward(self, grad: np.ndarray, ws: dict) -> np.ndarray:
-        lay = self.layer
-        if self.act is not None:
-            grad = _act_backward_mirror(self.act, grad, ws["out"], ws)
-        x = ws["x"]
-        grad2 = grad.reshape(-1, lay.filters)
-        np.sum(grad2, axis=0, out=lay.grads[1])
-        dk = lay.grads[0]
-        dx = ws["dx"]
-        dx[...] = 0.0
-        tmp = ws["tmp_b"]
-        for i in range(lay.kh):
-            for j in range(lay.kw):
-                sl = (
-                    slice(None),
-                    slice(i, i + lay.sh * self.oh, lay.sh),
-                    slice(j, j + lay.sw * self.ow, lay.sw),
-                )
-                np.matmul(x[sl].reshape(-1, self.cin).T, grad2, out=dk[i, j])
-                np.matmul(grad, lay.k[i, j].T, out=tmp)
-                dx[sl] += tmp
-        return dx
 
 
 class _Conv3DStep(_Step):
@@ -329,7 +186,7 @@ class _Conv3DStep(_Step):
             strides=(sn, lay.st * st, lay.sh * sh, lay.sw * sw, st, sh, sw, sc),
         )
 
-    def alloc_infer(self, n: int) -> dict:
+    def alloc(self, n: int) -> dict:
         lay = self.layer
         rows = n * self.ot * self.oh * self.ow
         cols = np.empty(
@@ -351,62 +208,6 @@ class _Conv3DStep(_Step):
             _activate_inplace(self.act, out)
         return out
 
-    def alloc_train(self, n: int) -> dict:
-        lay = self.layer
-        shape = (n, self.ot, self.oh, self.ow, lay.filters)
-        ws = {
-            "out": np.empty(shape, _F32),
-            "tmp_f": np.empty(shape, _F32),
-            "tmp_b": np.empty((n, self.ot, self.oh, self.ow, self.cin), _F32),
-            "dx": np.empty((n, *self.in_shape), _F32),
-        }
-        ws.update(_act_backward_buffers(self.act, shape))
-        return ws
-
-    def _slices(self, a: int, i: int, j: int) -> tuple:
-        lay = self.layer
-        return (
-            slice(None),
-            slice(a, a + lay.st * self.ot, lay.st),
-            slice(i, i + lay.sh * self.oh, lay.sh),
-            slice(j, j + lay.sw * self.ow, lay.sw),
-        )
-
-    def train_forward(self, x: np.ndarray, ws: dict) -> np.ndarray:
-        lay = self.layer
-        out = ws["out"]
-        tmp = ws["tmp_f"]
-        out[:] = lay.b
-        for a in range(lay.kt):
-            for i in range(lay.kh):
-                for j in range(lay.kw):
-                    np.matmul(x[self._slices(a, i, j)], lay.k[a, i, j], out=tmp)
-                    out += tmp
-        if self.act is not None:
-            _activate_mirror(self.act, out)
-        ws["x"] = x
-        return out
-
-    def backward(self, grad: np.ndarray, ws: dict) -> np.ndarray:
-        lay = self.layer
-        if self.act is not None:
-            grad = _act_backward_mirror(self.act, grad, ws["out"], ws)
-        x = ws["x"]
-        grad2 = grad.reshape(-1, lay.filters)
-        np.sum(grad2, axis=0, out=lay.grads[1])
-        dk = lay.grads[0]
-        dx = ws["dx"]
-        dx[...] = 0.0
-        tmp = ws["tmp_b"]
-        for a in range(lay.kt):
-            for i in range(lay.kh):
-                for j in range(lay.kw):
-                    sl = self._slices(a, i, j)
-                    np.matmul(x[sl].reshape(-1, self.cin).T, grad2, out=dk[a, i, j])
-                    np.matmul(grad, lay.k[a, i, j].T, out=tmp)
-                    dx[sl] += tmp
-        return dx
-
 
 class _MaxPool2DStep(_Step):
     def __init__(self, layer: MaxPool2D, in_shape: tuple[int, ...]) -> None:
@@ -423,7 +224,7 @@ class _MaxPool2DStep(_Step):
             strides=(sn, lay.ph * sh, sh, lay.pw * sw, sw, sc),
         )
 
-    def alloc_infer(self, n: int) -> dict:
+    def alloc(self, n: int) -> dict:
         return {"out": np.empty((n, self.oh, self.ow, self.c), _F32)}
 
     def infer(self, x: np.ndarray, ws: dict) -> np.ndarray:
@@ -431,74 +232,15 @@ class _MaxPool2DStep(_Step):
         np.amax(self._blocks_view(x), axis=(2, 4), out=out)
         return out
 
-    def alloc_train(self, n: int) -> dict:
-        return {
-            "out": np.empty((n, self.oh, self.ow, self.c), _F32),
-            "dx": np.empty((n, *self.in_shape), _F32),
-        }
-
-    def train_forward(self, x: np.ndarray, ws: dict) -> np.ndarray:
-        out = ws["out"]
-        blocks = self._blocks_view(x)
-        np.amax(blocks, axis=(2, 4), out=out)
-        ws["blocks"] = blocks
-        return out
-
-    def backward(self, grad: np.ndarray, ws: dict) -> np.ndarray:
-        lay = self.layer
-        out = ws["out"]
-        mask = ws["blocks"] == out[:, :, None, :, None, :]
-        counts = mask.sum(axis=(2, 4), keepdims=True)
-        dblocks = mask * (grad[:, :, None, :, None, :] / counts)
-        dx = ws["dx"]
-        dx[...] = 0.0
-        n = len(grad)
-        dx[:, : self.oh * lay.ph, : self.ow * lay.pw] = dblocks.reshape(
-            n, self.oh * lay.ph, self.ow * lay.pw, self.c
-        )
-        return dx
-
 
 class _FlattenStep(_Step):
     def infer(self, x: np.ndarray, ws: dict) -> np.ndarray:
         return x.reshape(len(x), -1)
 
-    def train_forward(self, x: np.ndarray, ws: dict) -> np.ndarray:
-        ws["shape"] = x.shape
-        return x.reshape(len(x), -1)
-
-    def backward(self, grad: np.ndarray, ws: dict) -> np.ndarray:
-        return grad.reshape(ws["shape"])
-
 
 class _DropoutStep(_Step):
-    def __init__(self, layer: Dropout) -> None:
-        self.layer = layer
-
     def infer(self, x: np.ndarray, ws: dict) -> np.ndarray:
         return x
-
-    def alloc_train(self, n: int) -> dict:
-        shape = (n, *self.in_shape)
-        return {"out": np.empty(shape, _F32), "dgrad": np.empty(shape, _F32)}
-
-    def train_forward(self, x: np.ndarray, ws: dict) -> np.ndarray:
-        lay = self.layer
-        if lay.rate == 0.0:
-            ws["mask"] = None
-            return x
-        keep = 1.0 - lay.rate
-        # Same draw, order, and expression as the reference layer so a
-        # shared rng stream stays in lockstep with ``Dropout.forward``.
-        mask = (lay._rng.random(x.shape) < keep).astype(np.float32) / keep
-        ws["mask"] = mask
-        return np.multiply(x, mask, out=ws["out"])
-
-    def backward(self, grad: np.ndarray, ws: dict) -> np.ndarray:
-        mask = ws["mask"]
-        if mask is None:
-            return grad
-        return np.multiply(grad, mask, out=ws["dgrad"])
 
 
 class _ActivationStep(_Step):
@@ -506,7 +248,7 @@ class _ActivationStep(_Step):
         self.layer = layer
         self.name = layer.name
 
-    def alloc_infer(self, n: int) -> dict:
+    def alloc(self, n: int) -> dict:
         if self.name == "linear":
             return {}
         return {"out": np.empty((n, *self.out_shape), _F32)}
@@ -519,27 +261,6 @@ class _ActivationStep(_Step):
         _activate_inplace(self.name, out)
         return out
 
-    def alloc_train(self, n: int) -> dict:
-        if self.name == "linear":
-            return {}
-        shape = (n, *self.out_shape)
-        ws = {"out": np.empty(shape, _F32)}
-        ws.update(_act_backward_buffers(self.name, shape))
-        return ws
-
-    def train_forward(self, x: np.ndarray, ws: dict) -> np.ndarray:
-        if self.name == "linear":
-            return x
-        out = ws["out"]
-        np.copyto(out, x)
-        _activate_mirror(self.name, out)
-        return out
-
-    def backward(self, grad: np.ndarray, ws: dict) -> np.ndarray:
-        if self.name == "linear":
-            return grad
-        return _act_backward_mirror(self.name, grad, ws["out"], ws)
-
 
 class _TimeDistributedStep(_Step):
     def __init__(self, layer: TimeDistributed, in_shape: tuple[int, ...]) -> None:
@@ -547,8 +268,8 @@ class _TimeDistributedStep(_Step):
         self.t = in_shape[0]
         self.inner = _compile_layer(layer.inner, in_shape[1:])
 
-    def alloc_infer(self, n: int) -> dict:
-        return {"inner": self.inner.alloc_infer(n * self.t)}
+    def alloc(self, n: int) -> dict:
+        return {"inner": self.inner.alloc(n * self.t)}
 
     def infer(self, x: np.ndarray, ws: dict) -> np.ndarray:
         n = len(x)
@@ -556,28 +277,13 @@ class _TimeDistributedStep(_Step):
         out = self.inner.infer(flat, ws["inner"])
         return out.reshape(n, self.t, *out.shape[1:])
 
-    def alloc_train(self, n: int) -> dict:
-        return {"inner": self.inner.alloc_train(n * self.t)}
-
-    def train_forward(self, x: np.ndarray, ws: dict) -> np.ndarray:
-        n = len(x)
-        flat = x.reshape(n * self.t, *x.shape[2:])
-        out = self.inner.train_forward(flat, ws["inner"])
-        return out.reshape(n, self.t, *out.shape[1:])
-
-    def backward(self, grad: np.ndarray, ws: dict) -> np.ndarray:
-        n = len(grad)
-        flat = grad.reshape(n * self.t, *grad.shape[2:])
-        dx = self.inner.backward(flat, ws["inner"])
-        return dx.reshape(n, self.t, *dx.shape[1:])
-
 
 class _LSTMStep(_Step):
     def __init__(self, layer: LSTM, in_shape: tuple[int, ...]) -> None:
         self.layer = layer
         self.t, self.d = in_shape
 
-    def alloc_infer(self, n: int) -> dict:
+    def alloc(self, n: int) -> dict:
         u = self.layer.units
         ws = {
             "zx": np.empty((n * self.t, 4 * u), _F32),
@@ -619,135 +325,6 @@ class _LSTMStep(_Step):
                 ws["hs"][:, step] = h
         return ws["hs"] if lay.return_sequences else h
 
-    def alloc_train(self, n: int) -> dict:
-        u = self.layer.units
-        t, d = self.t, self.d
-        lay = self.layer
-        return {
-            "hs_all": np.empty((t + 1, n, u), _F32),
-            "cs_all": np.empty((t + 1, n, u), _F32),
-            "gates": np.empty((t, n, 4 * u), _F32),
-            "tanh_cs": np.empty((t, n, u), _F32),
-            "hs": np.empty((n, t, u), _F32),
-            "z2": np.empty((n, 4 * u), _F32),
-            "dz": np.empty((n, 4 * u), _F32),
-            "dh": np.empty((n, u), _F32),
-            "dh_next": np.empty((n, u), _F32),
-            "dc_next": np.empty((n, u), _F32),
-            "dc": np.empty((n, u), _F32),
-            "do": np.empty((n, u), _F32),
-            "di": np.empty((n, u), _F32),
-            "df": np.empty((n, u), _F32),
-            "dg": np.empty((n, u), _F32),
-            "t1": np.empty((n, u), _F32),
-            "dx": np.empty((n, t, d), _F32),
-            "dxs": np.empty((n, d), _F32),
-            "dwx_t": np.empty_like(lay.grads[0]),
-            "dwh_t": np.empty_like(lay.grads[1]),
-            "db_t": np.empty_like(lay.grads[2]),
-        }
-
-    def train_forward(self, x: np.ndarray, ws: dict) -> np.ndarray:
-        lay = self.layer
-        u = lay.units
-        hs_all, cs_all = ws["hs_all"], ws["cs_all"]
-        gates, tanh_cs, hs, z2 = ws["gates"], ws["tanh_cs"], ws["hs"], ws["z2"]
-        hs_all[0] = 0.0
-        cs_all[0] = 0.0
-        for step in range(self.t):
-            h_prev, c_prev = hs_all[step], cs_all[step]
-            z = gates[step]
-            np.matmul(x[:, step], lay.wx, out=z)
-            np.matmul(h_prev, lay.wh, out=z2)
-            z += z2
-            z += lay.b
-            # Gate activations via the reference's own stable sigmoid so
-            # cached values are bitwise identical to ``LSTM.forward``.
-            i = _sigmoid(z[:, :u])
-            f = _sigmoid(z[:, u : 2 * u])
-            g = np.tanh(z[:, 2 * u : 3 * u])
-            o = _sigmoid(z[:, 3 * u :])
-            z[:, :u] = i
-            z[:, u : 2 * u] = f
-            z[:, 2 * u : 3 * u] = g
-            z[:, 3 * u :] = o
-            c_new = cs_all[step + 1]
-            np.multiply(f, c_prev, out=c_new)
-            np.multiply(i, g, out=ws["t1"])
-            c_new += ws["t1"]
-            np.tanh(c_new, out=tanh_cs[step])
-            np.multiply(o, tanh_cs[step], out=hs_all[step + 1])
-            hs[:, step] = hs_all[step + 1]
-        ws["x"] = x
-        return hs if lay.return_sequences else hs[:, -1]
-
-    def backward(self, grad: np.ndarray, ws: dict) -> np.ndarray:
-        lay = self.layer
-        u = lay.units
-        x = ws["x"]
-        dwx, dwh, db = lay.grads
-        dwx[...] = 0.0
-        dwh[...] = 0.0
-        db[...] = 0.0
-        dx = ws["dx"]
-        dx[...] = 0.0
-        dh_next, dc_next = ws["dh_next"], ws["dc_next"]
-        dh_next[...] = 0.0
-        dc_next[...] = 0.0
-        dh, dc, do, di, df, dg = (
-            ws["dh"], ws["dc"], ws["do"], ws["di"], ws["df"], ws["dg"],
-        )
-        dz, t1 = ws["dz"], ws["t1"]
-        for step in range(self.t - 1, -1, -1):
-            h_prev, c_prev = ws["hs_all"][step], ws["cs_all"][step]
-            zg = ws["gates"][step]
-            i, f = zg[:, :u], zg[:, u : 2 * u]
-            g, o = zg[:, 2 * u : 3 * u], zg[:, 3 * u :]
-            tanh_c = ws["tanh_cs"][step]
-            np.copyto(dh, dh_next)
-            if lay.return_sequences:
-                dh += grad[:, step]
-            elif step == self.t - 1:
-                dh += grad
-            np.multiply(dh, tanh_c, out=do)
-            # dc = dc_next + dh * o * (1 - tanh_c**2)
-            np.multiply(dh, o, out=dc)
-            np.power(tanh_c, 2, out=t1)
-            np.subtract(1.0, t1, out=t1)
-            dc *= t1
-            dc += dc_next
-            np.multiply(dc, g, out=di)
-            np.multiply(dc, c_prev, out=df)
-            np.multiply(dc, i, out=dg)
-            # dz slots mirror the reference concatenate, slot by slot.
-            s = dz[:, :u]
-            np.multiply(di, i, out=s)
-            np.subtract(1.0, i, out=t1)
-            s *= t1
-            s = dz[:, u : 2 * u]
-            np.multiply(df, f, out=s)
-            np.subtract(1.0, f, out=t1)
-            s *= t1
-            s = dz[:, 2 * u : 3 * u]
-            np.power(g, 2, out=t1)
-            np.subtract(1.0, t1, out=t1)
-            np.multiply(dg, t1, out=s)
-            s = dz[:, 3 * u :]
-            np.multiply(do, o, out=s)
-            np.subtract(1.0, o, out=t1)
-            s *= t1
-            np.matmul(x[:, step].T, dz, out=ws["dwx_t"])
-            dwx += ws["dwx_t"]
-            np.matmul(h_prev.T, dz, out=ws["dwh_t"])
-            dwh += ws["dwh_t"]
-            np.sum(dz, axis=0, out=ws["db_t"])
-            db += ws["db_t"]
-            np.matmul(dz, lay.wx.T, out=ws["dxs"])
-            dx[:, step] = ws["dxs"]
-            np.matmul(dz, lay.wh.T, out=dh_next)
-            np.multiply(dc, f, out=dc_next)
-        return dx
-
 
 # ----------------------------------------------------------- compiler
 
@@ -766,7 +343,7 @@ def _compile_layer(layer: Layer, in_shape: tuple[int, ...]) -> _Step:
     elif isinstance(layer, Flatten):
         step = _FlattenStep()
     elif isinstance(layer, Dropout):
-        step = _DropoutStep(layer)
+        step = _DropoutStep()
     elif isinstance(layer, TimeDistributed):
         step = _TimeDistributedStep(layer, in_shape)
     elif isinstance(layer, LSTM):
@@ -778,7 +355,6 @@ def _compile_layer(layer: Layer, in_shape: tuple[int, ...]) -> _Step:
             f"no compiled kernel for layer type {type(layer).__name__}; "
             "use the reference Sequential stack"
         )
-    step.in_shape = in_shape
     step.out_shape = layer.output_shape(in_shape)
     return step
 
@@ -795,86 +371,42 @@ def _compile_steps(
     return steps, shape
 
 
-class _PlanBase:
-    """Shared compile + batch-size-keyed workspace management."""
+class InferencePlan:
+    """Forward-only compiled program for a built ``Sequential``.
+
+    Workspaces are allocated per batch size and kept for the
+    :data:`MAX_BATCH_KEYS` most recently used sizes.  ``run`` returns a
+    workspace buffer owned by the plan — it is overwritten by the next
+    ``run`` at the same batch size.
+    """
 
     def __init__(self, layers: list[Layer], input_shape: tuple[int, ...]) -> None:
         self.input_shape = tuple(int(d) for d in input_shape)
         self.steps, self.output_shape = _compile_steps(layers, self.input_shape)
         self._ws: dict[int, list[dict]] = {}
 
-    def _alloc(self, step: _Step, n: int) -> dict:
-        raise NotImplementedError
-
     def _workspaces(self, n: int) -> list[dict]:
         ws = self._ws.pop(n, None)
         if ws is None:
-            ws = [self._alloc(step, n) for step in self.steps]
+            ws = [step.alloc(n) for step in self.steps]
             while len(self._ws) >= MAX_BATCH_KEYS:
                 del self._ws[next(iter(self._ws))]
         self._ws[n] = ws  # re-insert: dict order doubles as LRU order
         return ws
-
-    def _check_input(self, x: np.ndarray) -> np.ndarray:
-        if tuple(x.shape[1:]) != self.input_shape:
-            raise ShapeError(
-                f"expected input shape (N, {', '.join(map(str, self.input_shape))}), "
-                f"got {x.shape}"
-            )
-        return np.ascontiguousarray(x, dtype=np.float32)
 
     @property
     def batch_keys(self) -> tuple[int, ...]:
         """Batch sizes with live workspaces (oldest first)."""
         return tuple(self._ws)
 
-
-class InferencePlan(_PlanBase):
-    """Forward-only compiled program for a built ``Sequential``.
-
-    ``run`` returns a workspace buffer owned by the plan — it is
-    overwritten by the next ``run`` at the same batch size.
-    """
-
-    def _alloc(self, step: _Step, n: int) -> dict:
-        return step.alloc_infer(n)
-
     def run(self, x: np.ndarray) -> np.ndarray:
         """One whole forward pass with minimal Python dispatch."""
-        out = self._check_input(x)
+        if tuple(x.shape[1:]) != self.input_shape:
+            raise ShapeError(
+                f"expected input shape (N, {', '.join(map(str, self.input_shape))}), "
+                f"got {x.shape}"
+            )
+        out = np.ascontiguousarray(x, dtype=np.float32)
         for step, ws in zip(self.steps, self._workspaces(len(out))):
             out = step.infer(out, ws)
         return out
-
-
-class TrainingPlan(_PlanBase):
-    """Forward+backward compiled program with preallocated grad buffers.
-
-    The kernels mirror the reference layer math op-for-op, so one
-    ``forward``/``backward`` pair writes gradients into the *layers'*
-    ``grads`` arrays with values identical to the reference stack.
-    """
-
-    def __init__(self, layers: list[Layer], input_shape: tuple[int, ...]) -> None:
-        super().__init__(layers, input_shape)
-        self._last: list[dict] | None = None
-
-    def _alloc(self, step: _Step, n: int) -> dict:
-        return step.alloc_train(n)
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Training-mode forward; caches activations for ``backward``."""
-        out = self._check_input(x)
-        ws = self._workspaces(len(out))
-        for step, w in zip(self.steps, ws):
-            out = step.train_forward(out, w)
-        self._last = ws
-        return out
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        """Backprop through the cached forward; fills layer grads."""
-        if self._last is None:
-            raise PlanError("TrainingPlan.backward called before forward")
-        for step, w in zip(reversed(self.steps), reversed(self._last)):
-            grad = step.backward(grad, w)
-        return grad

@@ -6,10 +6,9 @@ A :class:`MetricsRegistry` holds named series — :class:`Counter`
 Prometheus-style: ``serve.requests{outcome=completed}``.  Snapshots and
 exports sort every key, so the same run produces byte-identical output.
 
-:class:`StreamingHistogram` lives here now; it started life in
-``serve/slo.py`` (which keeps a deprecated re-export) but is a generic
-streaming-percentile structure, not a serving detail: log-spaced buckets
-with constant relative error ~6%, O(1) record, O(buckets) percentile.
+:class:`StreamingHistogram` is a generic streaming-percentile
+structure shared by serving and the fleet: log-spaced buckets with
+constant relative error ~6%, O(1) record, O(buckets) percentile.
 """
 
 from __future__ import annotations

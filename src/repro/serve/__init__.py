@@ -22,7 +22,7 @@ from repro.serve.router import (
     make_router,
 )
 from repro.serve.service import InferenceService, ServeSummary
-from repro.serve.slo import SloTracker, StreamingHistogram
+from repro.serve.slo import SloTracker
 from repro.serve.workload import PoissonWorkload, VehicleFleetWorkload, Workload
 
 __all__ = [
@@ -50,7 +50,6 @@ __all__ = [
     "Router",
     "ServeSummary",
     "SloTracker",
-    "StreamingHistogram",
     "TrafficSplitRouter",
     "VehicleFleetWorkload",
     "Workload",

@@ -4,8 +4,8 @@ The compiled plans reuse preallocated buffers across calls, which is
 exactly the kind of optimisation that turns nondeterministic if a
 buffer leaks state between batches.  These tests pin the system-level
 guarantee: with plans enabled (the default everywhere), serve and
-fleet runs are byte-identical per seed, and the training fast path
-leaves checkpoint bytes unchanged relative to the reference layers.
+fleet runs are byte-identical per seed, and warm-compiled plans leave
+the checkpoint bytes of a training run unchanged.
 """
 
 import json
@@ -40,8 +40,8 @@ def test_serve_summary_byte_identical_per_seed():
 
 
 def test_fleet_loop_byte_identical_with_plans():
-    """The full continuous-learning loop — fast-path training, plan
-    recompiles at every stage's model pin — stays deterministic."""
+    """The full continuous-learning loop — training, plan recompiles at
+    every stage's model pin — stays deterministic."""
     config = dict(
         n_vehicles=4,
         records_per_flush=12,
@@ -60,20 +60,22 @@ def test_fleet_loop_byte_identical_with_plans():
 
 
 def test_checkpoint_bytes_independent_of_fast_path():
-    """Training with and without the compiled plans produces identical
-    checkpoint payloads — the serialized-model goldens any downstream
-    system holds cannot shift when the fast path rolls out."""
+    """Training a model whose inference plans were compiled beforehand
+    (as the fleet's warm start does) produces the same checkpoint
+    payload as training a fresh one: the plans share parameter storage
+    with the layers and never write to it."""
     rng = np.random.default_rng(2)
     x = rng.random((16, 24, 32, 3)).astype(np.float32)
     y = rng.random((16, 2)).astype(np.float32)
     split = ArraySplit(x_train=x, y_train=y, x_val=x[:4], y_val=y[:4])
 
     payloads = []
-    for use_plan in (True, False):
+    for precompile in (True, False):
         model = create_model("linear", input_shape=(24, 32, 3), scale=0.25)
+        if precompile:
+            assert model.compile_plans()
         Trainer(
-            optimizer=Adam(), batch_size=4, epochs=2,
-            shuffle_seed=4, use_plan=use_plan,
+            optimizer=Adam(), batch_size=4, epochs=2, shuffle_seed=4,
         ).fit(model, split)
         payloads.append(save_model_bytes(model))
     assert payloads[0] == payloads[1]

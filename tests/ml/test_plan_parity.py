@@ -1,13 +1,10 @@
-"""Numeric parity: compiled execution plans vs the reference layer stack.
+"""Numeric parity: the compiled inference plan vs the reference layer stack.
 
-The contract under test (see ``repro.ml.plan``):
-
-* **Inference** — ``InferencePlan.run`` matches ``Sequential.forward``
-  at float32 tolerances (the im2col GEMM changes floating-point
-  accumulation order, so bitwise equality is not promised).
-* **Training** — ``TrainingPlan`` mirrors the reference math op for
-  op: forward activations, gradients, and therefore post-optimizer-step
-  weights are **bitwise identical** to training on the layers directly.
+The contract under test (see ``repro.ml.plan``): ``InferencePlan.run``
+matches ``Sequential.forward`` at float32 tolerances (the im2col GEMM
+changes floating-point accumulation order, so bitwise equality is not
+promised).  Training has one implementation, the reference layers,
+whose gradients ``tests/ml/test_layers.py`` checks.
 
 Every layer type with a compiled kernel is covered alone and inside
 full DonkeyModel-shaped stacks, at batch sizes 1 / 7 / 32 including
@@ -32,8 +29,7 @@ from repro.ml.layers import (
 )
 from repro.ml.models.factory import create_model
 from repro.ml.network import Sequential
-from repro.ml.optimizers import Adam
-from repro.ml.plan import MAX_BATCH_KEYS, InferencePlan, TrainingPlan
+from repro.ml.plan import MAX_BATCH_KEYS, InferencePlan
 
 RTOL, ATOL = 1e-4, 1e-5
 BATCH_SIZES = (1, 7, 32)
@@ -223,94 +219,6 @@ def test_plan_tracks_in_place_weight_updates():
     assert not np.array_equal(before, after)
 
 
-# ------------------------------------------------- training parity
-
-
-def _train_steps(net_layers, shape, batch, steps, use_plan, seed):
-    """Run a few optimizer steps; returns (predictions, losses, weights)."""
-    net = Sequential(net_layers(), shape, seed=seed)
-    opt = Adam(learning_rate=1e-3)
-    plan = net.training_plan() if use_plan else None
-    rng = np.random.default_rng(seed + 100)
-    losses = []
-    for _ in range(steps):
-        x = rng.standard_normal((batch, *shape)).astype(np.float32)
-        y = rng.standard_normal((batch, *net.output_shape)).astype(np.float32)
-        if use_plan:
-            pred = plan.forward(x)
-        else:
-            pred = net.forward(x, training=True)
-        diff = pred - y
-        loss = float(np.mean(diff**2))
-        grad = (2.0 / diff.size) * diff
-        if use_plan:
-            plan.backward(grad)
-        else:
-            net.backward(grad)
-        opt.step(net.params, net.grads)
-        losses.append(loss)
-    return losses, net.get_weights()
-
-
-TRAIN_CASES = [
-    ("dense", lambda: [Dense(8, activation="relu"), Dropout(0.3, seed=2), Dense(2, activation="linear")], (7,)),
-    ("conv", lambda: [Conv2D(4, 3, 2, activation="relu"), Dropout(0.2, seed=3), Flatten(), Dense(2, activation="linear")], (10, 12, 3)),
-    ("pool", lambda: [Conv2D(3, 3, 1, activation="relu"), MaxPool2D(2), Flatten(), Dense(2, activation="tanh")], (9, 11, 2)),
-    ("softmax", lambda: [Dense(6, activation="relu"), Dense(15, activation="softmax")], (5,)),
-    ("rnn", lambda: [
-        TimeDistributed(Conv2D(3, 3, 2, activation="relu")),
-        TimeDistributed(Flatten()),
-        TimeDistributed(Dense(6, activation="relu")),
-        LSTM(5, return_sequences=True),
-        LSTM(4, return_sequences=False),
-        Dense(2, activation="linear"),
-    ], (3, 9, 11, 3)),
-    ("conv3d", lambda: [Conv3D(3, (3, 3, 3), (1, 2, 2), activation="relu"), Flatten(), Dense(2, activation="linear")], (5, 9, 11, 3)),
-]
-
-
-@pytest.mark.parametrize(
-    "make_layers,shape", [(m, s) for _, m, s in TRAIN_CASES],
-    ids=[n for n, _, _ in TRAIN_CASES],
-)
-@pytest.mark.parametrize("batch", (1, 7))
-def test_training_plan_bitwise_parity(make_layers, shape, batch):
-    """Same seed, same data: the fast path reproduces the reference
-    losses AND post-step weights exactly (not just approximately)."""
-    losses_fast, weights_fast = _train_steps(
-        make_layers, shape, batch, steps=3, use_plan=True, seed=11
-    )
-    losses_ref, weights_ref = _train_steps(
-        make_layers, shape, batch, steps=3, use_plan=False, seed=11
-    )
-    assert losses_fast == losses_ref
-    assert len(weights_fast) == len(weights_ref)
-    for wf, wr in zip(weights_fast, weights_ref):
-        assert np.array_equal(wf, wr)
-
-
-def test_training_plan_backward_requires_forward():
-    net = Sequential([Dense(3)], (4,), seed=8)
-    with pytest.raises(PlanError, match="before forward"):
-        net.training_plan().backward(np.zeros((2, 3), dtype=np.float32))
-
-
-def test_training_plan_input_grad_matches_reference():
-    layers, shape = _stacks()["pooled"]
-    net = Sequential(layers, shape, seed=9)
-    x = _input(shape, 4, seed=3)
-    ref_out = net.forward(x, training=True)
-    ref_gin = net.backward(np.ones_like(ref_out))
-    # Fresh net with identical weights: dropout RNG must restart too.
-    net2 = Sequential(_stacks()["pooled"][0], shape, seed=9)
-    net2.set_weights(net.get_weights())
-    plan = net2.training_plan()
-    out = plan.forward(x)
-    assert np.array_equal(out, ref_out)
-    gin = plan.backward(np.ones_like(out))
-    assert np.array_equal(gin, ref_gin)
-
-
 # ------------------------------------------- DonkeyModel-shaped nets
 
 
@@ -338,7 +246,7 @@ def _reference_commands(model, frames):
 )
 def test_model_fast_forward_matches_reference(name):
     model = create_model(name, input_shape=(24, 32, 3), scale=0.25)
-    assert model.supports_fast_path()
+    assert model.compile_plans()
     rng = np.random.default_rng(17)
     for batch in BATCH_SIZES:
         frames = rng.integers(0, 255, (batch, 24, 32, 3), dtype=np.uint8)

@@ -1,4 +1,4 @@
-"""Property-based tests for the compiled execution plans.
+"""Property-based tests for the compiled inference plan.
 
 Hypothesis draws random stack *recipes* (layer kinds + hyperparameters,
 not instances, so a recipe can build identical fresh networks) and
@@ -8,9 +8,7 @@ random inputs, then checks the plan contract from ``repro.ml.plan``:
   tolerances — the plan reorders floating-point accumulation);
 * ``run`` never mutates its input array;
 * repeated ``run`` on the same input is byte-identical (the plan's
-  buffer reuse is deterministic);
-* the training plan reproduces reference forward activations and
-  gradients bitwise.
+  buffer reuse is deterministic).
 """
 
 import numpy as np
@@ -134,25 +132,3 @@ class TestInferencePlanProperties:
         second = plan.run(x).tobytes()
         assert first == second
 
-
-class TestTrainingPlanProperties:
-    @given(recipe=recipes, batch=st.integers(1, 6), seed=st.integers(0, 2**16))
-    @settings(max_examples=25, deadline=None)
-    def test_forward_and_gradients_bitwise_equal_reference(
-        self, recipe, batch, seed
-    ):
-        spec, shape = recipe
-        net_ref = Sequential(build(spec), shape, seed=7)
-        net_fast = Sequential(build(spec), shape, seed=7)
-        net_fast.set_weights(net_ref.get_weights())
-        x = _x(shape, batch, seed)
-
-        ref_out = net_ref.forward(x, training=True)
-        net_ref.backward(np.ones_like(ref_out))
-
-        plan = net_fast.training_plan()
-        out = plan.forward(x)
-        assert np.array_equal(out, ref_out)
-        plan.backward(np.ones_like(out))
-        for ga, gb in zip(net_ref.grads, net_fast.grads):
-            assert np.array_equal(ga, gb)

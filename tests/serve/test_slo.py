@@ -5,8 +5,9 @@ import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.common.eventlog import EventLog
+from repro.obs.metrics import StreamingHistogram
 from repro.serve.request import Request, RequestStatus
-from repro.serve.slo import SloTracker, StreamingHistogram
+from repro.serve.slo import SloTracker
 
 
 def completed(i, arrival=0.0, latency=0.010, deadline=1.0):
