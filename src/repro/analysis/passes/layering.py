@@ -82,8 +82,8 @@ DEFAULT_LAYERS: dict[str, tuple[str, ...]] = {
         "testbed",
     ),
     # The evaluation harness scores whole-stack runs, so it sits at the
-    # very top: nothing below may import it (only the root modules
-    # repro.cli / repro.scenarios, which are layering-exempt, do).
+    # very top: nothing below may import it (only the root module
+    # repro.cli, which is layering-exempt, does).
     "eval": (
         "common",
         "core",

@@ -9,10 +9,9 @@ steps — mirroring the ``donkey`` CLI the paper's students use:
 * ``autolearn train`` — train one of the six models on a tub.
 * ``autolearn evaluate`` — drive a trained model and report qualities.
 * ``autolearn pipeline`` — run a full pathway end to end.
-* ``autolearn serve`` — run a fleet inference-serving experiment.
-* ``autolearn chaos`` — play a fault-injection scenario against a fleet.
-* ``autolearn fleet`` — run the continuous-learning continuum loop.
-* ``autolearn trace`` — run a canonical scenario with tracing attached.
+* ``autolearn run`` — run one declarative scenario (a library name or a
+  spec file, plus ``-o path=value`` overrides): serving, chaos, fleet
+  learning, drive or pipeline; ``--trace DIR`` writes its trace.
 * ``autolearn eval`` — score declarative scenarios against goldens.
 * ``autolearn lint`` — run the reprolint invariant checker.
 """
@@ -72,94 +71,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser(
-        "serve", help="run a deterministic fleet inference-serving experiment"
+        "run",
+        help="run one declarative scenario (library name or spec file) "
+             "and print its summary",
     )
-    p.add_argument("--vehicles", type=int, default=256,
-                   help="closed-loop fleet size (20 Hz control loops)")
-    p.add_argument("--rate", type=float, default=0.0,
-                   help="open-loop Poisson rate in Hz (overrides --vehicles)")
-    p.add_argument("--replicas", type=int, default=4)
-    p.add_argument("--batch", default="adaptive",
-                   choices=["single", "size", "wait", "adaptive"])
-    p.add_argument("--router", default="least-outstanding",
-                   choices=["round-robin", "least-outstanding", "latency-ewma"])
-    p.add_argument("--queue-capacity", type=int, default=256)
-    p.add_argument("--queue-policy", default="drop",
-                   choices=["drop", "shed", "backpressure"])
-    p.add_argument("--max-batch", type=int, default=32)
-    p.add_argument("--max-wait-ms", type=float, default=8.0)
-    p.add_argument("--deadline-ms", type=float, default=100.0)
-    p.add_argument("--duration", type=float, default=10.0,
-                   help="simulated seconds of offered load")
-    p.add_argument("--gpu", default="V100",
-                   help="testbed GPU spec the replicas are pinned to")
-    p.add_argument("--model", default="none",
-                   choices=["none", "linear", "memory", "3d", "categorical",
-                            "inferred", "rnn"],
-                   help="run real batched forward passes ('none' = "
-                        "latency-only simulation)")
-    p.add_argument("--model-flops", type=float, default=1e8,
-                   help="forward-pass FLOPs per frame for the cost model")
-    p.add_argument("--autoscale", action="store_true",
-                   help="enable the reactive autoscaler")
-    p.add_argument("--max-replicas", type=int, default=8)
-    p.add_argument("--provision-delay", type=float, default=5.0,
-                   help="autoscale provisioning delay in seconds")
-    p.add_argument("--seed", type=int, default=0)
+    from repro.eval.cli import add_eval_arguments, add_run_arguments
 
-    p = sub.add_parser(
-        "chaos", help="play a deterministic fault-injection scenario"
-    )
-    p.add_argument("--scenario", default="",
-                   help="JSON scenario file (defaults to the stock plan)")
-    p.add_argument("--vehicles", type=int, default=0,
-                   help="override the scenario's fleet size")
-    p.add_argument("--replicas", type=int, default=0,
-                   help="override the scenario's replica count")
-    p.add_argument("--duration", type=float, default=0.0,
-                   help="override the scenario's simulated duration")
-    p.add_argument("--seed", type=int, default=0)
-
-    p = sub.add_parser(
-        "fleet",
-        help="run the fleet continuous-learning loop (collect -> retrain "
-             "-> shadow/canary rollout)",
-    )
-    p.add_argument("--rounds", type=int, default=3)
-    p.add_argument("--vehicles", type=int, default=8,
-                   help="data-collection fleet size")
-    p.add_argument("--stage-vehicles", type=int, default=6,
-                   help="closed-loop vehicles driving each rollout stage")
-    p.add_argument("--canary-fraction", type=float, default=0.3,
-                   help="fraction of stage traffic sent to the canary")
-    p.add_argument("--poison-round", type=int, default=0,
-                   help="invert steering labels collected in this round "
-                        "(the degraded candidate must roll back)")
-    p.add_argument("--crash-canary-round", type=int, default=0,
-                   help="crash the canary replica in this round's canary "
-                        "stage (the candidate must roll back)")
-    p.add_argument("--json", action="store_true",
-                   help="emit the full summary as JSON")
-    p.add_argument("--seed", type=int, default=0)
-
-    p = sub.add_parser(
-        "trace",
-        help="run a canonical scenario with deterministic tracing attached",
-    )
-    from repro.scenarios import TRACE_SCENARIOS
-
-    p.add_argument("scenario", choices=list(TRACE_SCENARIOS))
-    p.add_argument("--out", default="./autolearn-trace",
-                   help="directory for trace.json / trace.txt / metrics.json")
-    p.add_argument("--seed", type=int, default=0)
+    add_run_arguments(p)
 
     p = sub.add_parser(
         "eval",
         help="run declarative scenarios and diff canonical scorecards "
              "against the checked-in goldens",
     )
-    from repro.eval.cli import add_eval_arguments
-
     add_eval_arguments(p)
 
     p = sub.add_parser(
@@ -287,144 +211,10 @@ def _cmd_pipeline(args) -> int:
     return 0
 
 
-def _cmd_serve(args) -> int:
-    from repro.serve import (
-        AutoscalePolicy,
-        Autoscaler,
-        BatchLatencyModel,
-        InferenceService,
-        PoissonWorkload,
-        VehicleFleetWorkload,
-    )
-    from repro.testbed.hardware import GPU_SPECS
+def _cmd_run(args) -> int:
+    from repro.eval.cli import run_scenario_command
 
-    if args.gpu not in GPU_SPECS:
-        print(f"unknown GPU {args.gpu!r}; choose from {sorted(GPU_SPECS)}")
-        return 2
-    latency_model = BatchLatencyModel.from_gpu(
-        GPU_SPECS[args.gpu], flops_per_frame=args.model_flops
-    )
-    model = None
-    frame_shape = None
-    if args.model != "none":
-        from repro.ml import create_model
-
-        frame_shape = (48, 64, 3)
-        model = create_model(
-            args.model, input_shape=frame_shape, scale=0.25, seed=args.seed
-        )
-    service = InferenceService(
-        latency_model,
-        model=model,
-        n_replicas=args.replicas,
-        router=args.router,
-        batch_policy=args.batch,
-        max_batch=args.max_batch,
-        max_wait_s=args.max_wait_ms / 1e3,
-        queue_capacity=args.queue_capacity,
-        queue_policy=args.queue_policy,
-        seed=args.seed,
-    )
-    deadline_s = args.deadline_ms / 1e3
-    if args.rate > 0:
-        workload = PoissonWorkload(
-            args.rate, deadline_s=deadline_s, seed=args.seed,
-            frame_shape=frame_shape,
-        )
-    else:
-        workload = VehicleFleetWorkload(
-            args.vehicles, deadline_ticks=max(1, round(deadline_s / 0.05)),
-            seed=args.seed, frame_shape=frame_shape,
-        )
-    autoscaler = None
-    if args.autoscale:
-        autoscaler = Autoscaler(service, AutoscalePolicy(
-            min_replicas=args.replicas, max_replicas=args.max_replicas,
-            p95_target_s=deadline_s, provision_delay_s=args.provision_delay,
-        ))
-    summary = service.run(workload, args.duration, autoscaler=autoscaler)
-    print(summary.to_text(), end="")
-    return 0
-
-
-def _cmd_chaos(args) -> int:
-    import dataclasses
-    import json
-
-    from repro.serve import ChaosScenario, default_plan, run_chaos
-
-    if args.scenario:
-        payload = json.loads(Path(args.scenario).read_text())
-        scenario = ChaosScenario.from_dict(payload)
-    else:
-        replicas = args.replicas or 3
-        scenario = ChaosScenario(replicas=replicas, plan=default_plan(replicas))
-    overrides = {}
-    if args.vehicles > 0:
-        overrides["vehicles"] = args.vehicles
-    if args.replicas > 0:
-        overrides["replicas"] = args.replicas
-    if args.duration > 0:
-        overrides["duration_s"] = args.duration
-    if overrides:
-        scenario = dataclasses.replace(scenario, **overrides)
-    summary = run_chaos(scenario, seed=args.seed)
-    print(summary.to_text(), end="")
-    return 0
-
-
-def _cmd_fleet(args) -> int:
-    import json
-
-    from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
-    from repro.fleet import FleetConfig, FleetLoop
-
-    canary_fault_plans = ()
-    if args.crash_canary_round > 0:
-        # The canary replica is the one added after the stable replicas;
-        # with the default two stable replicas that is replica-0003.
-        stable = FleetConfig().stable_replicas
-        crash = FaultPlan([
-            FaultSpec(
-                FaultKind.REPLICA_CRASH,
-                f"replica-{stable + 1:04d}",
-                at_s=0.1,
-            ),
-        ])
-        canary_fault_plans = ((args.crash_canary_round, crash),)
-    config = FleetConfig(
-        rounds=args.rounds,
-        n_vehicles=args.vehicles,
-        stage_vehicles=args.stage_vehicles,
-        canary_fraction=args.canary_fraction,
-        poison_rounds=(args.poison_round,) if args.poison_round > 0 else (),
-        canary_fault_plans=canary_fault_plans,
-        seed=args.seed,
-    )
-    summary = FleetLoop(config).run()
-    if args.json:
-        print(json.dumps(summary.to_dict(), indent=2, sort_keys=True))
-    else:
-        print(summary.to_text(), end="")
-    return 0
-
-
-def _cmd_trace(args) -> int:
-    from repro.obs.export import chrome_trace, text_tree
-    from repro.scenarios import run_trace_scenario
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    result = run_trace_scenario(
-        args.scenario, seed=args.seed, work_dir=out / "work"
-    )
-    (out / "trace.json").write_text(chrome_trace(result.tracer))
-    (out / "trace.txt").write_text(text_tree(result.tracer))
-    (out / "metrics.json").write_text(result.metrics.to_json())
-    print(result.summary, end="")
-    print(f"spans={len(result.tracer.spans)} "
-          f"events={len(result.tracer.events)} -> {out}")
-    return 0
+    return run_scenario_command(args)
 
 
 def _cmd_eval(args) -> int:
@@ -446,10 +236,7 @@ _COMMANDS = {
     "train": _cmd_train,
     "evaluate": _cmd_evaluate,
     "pipeline": _cmd_pipeline,
-    "serve": _cmd_serve,
-    "chaos": _cmd_chaos,
-    "fleet": _cmd_fleet,
-    "trace": _cmd_trace,
+    "run": _cmd_run,
     "eval": _cmd_eval,
     "lint": _cmd_lint,
 }

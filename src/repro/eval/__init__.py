@@ -12,7 +12,8 @@ The evaluation harness every behavior-affecting PR is scored by:
   canonical, per-seed byte-identical :class:`ScoreCard` JSON;
 * :mod:`repro.eval.metrics` / :mod:`repro.eval.mot` — driving-quality
   and MOT-style tracking metrics;
-* :mod:`repro.eval.cli` — the ``autolearn eval`` subcommand.
+* :mod:`repro.eval.cli` — the ``autolearn run`` and ``autolearn eval``
+  subcommands.
 """
 
 from repro.eval.library import (

@@ -1,22 +1,31 @@
-"""``autolearn eval``: enumerate, run, score, and diff scenarios.
+"""``autolearn run`` (one scenario) and ``autolearn eval`` (score vs goldens).
 
-Mirrors the :mod:`repro.analysis.cli` split: :func:`add_eval_arguments`
-builds the subparser and :func:`run_eval_command` interprets it, so the
-top-level :mod:`repro.cli` stays a thin table.
+Mirrors the :mod:`repro.analysis.cli` split: ``add_*_arguments`` builds
+a subparser and ``run_*_command`` interprets it, so the top-level
+:mod:`repro.cli` stays a thin table.
 
-Exit codes: 0 — every scorecard matched its golden (or goldens were
-updated / comparison skipped); 1 — at least one scorecard diverged or
-has no golden yet; 2 — bad invocation (unknown scenario).
+Exit codes: 0 — ran, or (``eval``) every scorecard matched its golden
+or goldens were updated / comparison skipped; 1 — (``eval``) a
+scorecard diverged or has no golden yet; 2 — bad invocation (unknown
+scenario, malformed override, unknown spec param or GPU).
 """
 
 from __future__ import annotations
 
 import argparse
+import json
+import sys
 from pathlib import Path
 
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, NoSuchResourceError
 
-__all__ = ["add_eval_arguments", "run_eval_command", "default_golden_dir"]
+__all__ = [
+    "add_eval_arguments",
+    "add_run_arguments",
+    "default_golden_dir",
+    "run_eval_command",
+    "run_scenario_command",
+]
 
 
 def default_golden_dir() -> Path:
@@ -45,6 +54,81 @@ def add_eval_arguments(parser: argparse.ArgumentParser) -> None:
                         help="skip the golden comparison entirely")
     parser.add_argument("--update-goldens", action="store_true",
                         help="rewrite the golden scorecards from this run")
+
+
+def add_run_arguments(parser: argparse.ArgumentParser) -> None:
+    """Attach the ``run`` subcommand's arguments to ``parser``."""
+    parser.add_argument("scenario", metavar="SCENARIO",
+                        help="library or matrix scenario name, or a path "
+                             "to a ScenarioSpec JSON file")
+    parser.add_argument("-o", dest="overrides", action="append", default=[],
+                        metavar="PATH=VALUE",
+                        help="override one dotted spec param; VALUE is "
+                             "JSON, else a plain string (repeatable)")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--trace", default="", metavar="DIR",
+                        help="run with tracing and write trace.json / "
+                             "trace.txt / metrics.json into DIR")
+    parser.add_argument("--json", action="store_true",
+                        help="print the canonical scorecard JSON instead "
+                             "of the summary")
+
+
+def _parse_override(text: str) -> dict:
+    """``"a.b=value"`` → ``{"a.b": value}``; value is JSON or a string."""
+    path, sep, raw = text.partition("=")
+    if not sep:
+        raise ConfigurationError(f"override {text!r} is not PATH=VALUE")
+    try:
+        value = json.loads(raw)
+    except json.JSONDecodeError:
+        value = raw
+    return {path: value}
+
+
+def _load_spec(ref: str):
+    """A library/matrix scenario by name, or a spec JSON file by path."""
+    from repro.eval.library import scenario_spec
+    from repro.eval.spec import ScenarioSpec
+
+    path = Path(ref)
+    if not path.is_file():
+        return scenario_spec(ref)
+    try:
+        payload = json.loads(path.read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigurationError(f"cannot read spec file {ref}: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ConfigurationError(f"spec file {ref} does not hold an object")
+    return ScenarioSpec.from_dict(payload)
+
+
+def run_scenario_command(args) -> int:
+    """Run one scenario; print its summary or scorecard, maybe a trace."""
+    from repro.eval.runner import run_scenario
+    from repro.eval.scorecard import Evaluator
+    from repro.obs.export import chrome_trace, text_tree
+
+    try:
+        spec = _load_spec(args.scenario).with_overrides(
+            *(_parse_override(text) for text in args.overrides)
+        )
+        run = run_scenario(spec, seed=args.seed, instrument=bool(args.trace))
+        text = Evaluator().evaluate(run).to_json() if args.json else run.summary
+    except (ConfigurationError, NoSuchResourceError) as exc:
+        # NoSuchResourceError is a KeyError: print the message, not a repr.
+        print(f"error: {exc.args[0] if exc.args else exc}")
+        return 2
+    print(text, end="")
+    if args.trace:
+        out = Path(args.trace)
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "trace.json").write_text(chrome_trace(run.tracer))
+        (out / "trace.txt").write_text(text_tree(run.tracer))
+        (out / "metrics.json").write_text(run.metrics.to_json())
+        print(f"spans={len(run.tracer.spans)} events={len(run.tracer.events)} "
+              f"-> {out}", file=sys.stderr)
+    return 0
 
 
 def _selected_specs(args) -> list:

@@ -26,9 +26,16 @@ import numpy as np
 
 from repro.common.errors import ConfigurationError
 from repro.common.rng import ensure_rng, seed_from_name
+from repro.eval.spec import check_params
 from repro.sim.session import LapStats
 
 __all__ = ["GreedyTracker", "DriveArtifacts", "run_drive"]
+
+_DRIVE_KEYS = (
+    "track", "n_vehicles", "ticks", "dt", "skill", "steering_noise",
+    "perception",
+)
+_PERCEPTION_KEYS = ("noise_m", "dropout", "gate_m", "max_coast", "match_radius_m")
 
 
 class GreedyTracker:
@@ -142,6 +149,10 @@ def run_drive(
     from repro.sim.server import make_track
     from repro.sim.session import DrivingSession
 
+    params = check_params(name, params, _DRIVE_KEYS)
+    perception = check_params(
+        "perception", params.get("perception", {}), _PERCEPTION_KEYS
+    )
     track_name = str(params.get("track", "default-tape-oval"))
     track = make_track(track_name)
     n_vehicles = int(params.get("n_vehicles", 4))
@@ -149,7 +160,6 @@ def run_drive(
     dt = float(params.get("dt", 0.05))
     skill = float(params.get("skill", 0.85))
     noise_amp = float(params.get("steering_noise", 0.0))
-    perception = dict(params.get("perception", {}))
     if n_vehicles < 1 or ticks < 1:
         raise ConfigurationError("need >= 1 vehicle and >= 1 tick")
 

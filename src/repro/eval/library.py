@@ -2,12 +2,11 @@
 
 Holds the declarative form of every named scenario:
 
-* the four trace scenarios from :mod:`repro.scenarios`, re-expressed as
-  :class:`~repro.eval.spec.ScenarioSpec` values whose runs are
-  byte-identical to the historical hand-coded ones (the golden-trace
-  suite holds either way);
+* the four traced scenarios — ``pipeline-quickstart``, ``serve-load``,
+  ``chaos-crash``, ``fleet-canary-chaos`` — whose traces the golden-trace
+  suite pins (``autolearn run NAME --trace DIR`` exports them);
 * ``drive-mot`` — a multi-vehicle drive world scored with lap/CTE/MOT
-  metrics (evaluation-only; not part of ``TRACE_SCENARIOS``);
+  metrics (scorecard goldens only; no trace golden);
 * a generated matrix — fleet size ⊗ fault plan ⊗ network profile over
   a closed-loop serving base — built by composing named override deltas
   (:data:`MATRIX_AXES`) onto :data:`MATRIX_BASE`, Hydra-style.
@@ -68,7 +67,7 @@ def _spec(name: str, kind: str, params: dict) -> ScenarioSpec:
     return ScenarioSpec(name=name, kind=kind, params=params)
 
 
-#: The four historical trace scenarios plus ``drive-mot``, as specs.
+#: The four traced scenarios plus ``drive-mot``, as specs.
 BASE_SPECS: dict[str, ScenarioSpec] = {
     spec.name: spec
     for spec in (
@@ -254,18 +253,19 @@ def matrix_specs() -> list[ScenarioSpec]:
 
 
 def scenario_names(matrix: bool = False) -> tuple[str, ...]:
-    """Known scenario names; the matrix cells too when ``matrix``."""
+    """Known scenario names; the matrix base and cells too when ``matrix``."""
     names = tuple(BASE_SPECS)
     if matrix:
+        names += (MATRIX_BASE.name,)
         names += tuple(spec.name for spec in matrix_specs())
     return names
 
 
 def scenario_spec(name: str) -> ScenarioSpec:
-    """Look up a named scenario (library first, then matrix cells)."""
+    """Look up a named scenario (library, then the matrix base and cells)."""
     if name in BASE_SPECS:
         return BASE_SPECS[name]
-    for spec in matrix_specs():
+    for spec in (MATRIX_BASE, *matrix_specs()):
         if spec.name == name:
             return spec
     raise ConfigurationError(

@@ -1,10 +1,10 @@
 """Interpret a :class:`~repro.eval.spec.ScenarioSpec`: build, wire, run.
 
-One generic runner per scenario *kind*.  Each builds the same object
-graph, in the same order, with the same values as the historical
-hand-coded runners in :mod:`repro.scenarios` — which is what keeps the
-obs/fleet golden traces byte-identical now that those scenarios are
-just named specs interpreted here.
+One generic runner per scenario *kind*, and the only code that turns
+parameters into a running object graph: ``autolearn run``, ``autolearn
+eval``, the golden suites and the benchmark all come through
+:func:`run_scenario`.  Every kind rejects params it would not read, so
+a misspelt override fails loudly instead of running the base spec.
 
 ``instrument=False`` swaps the :class:`~repro.obs.tracer.Tracer` for a
 :class:`~repro.obs.tracer.NullTracer` and drops the metrics registry;
@@ -23,11 +23,28 @@ from repro.common.clock import EventScheduler
 from repro.common.errors import ConfigurationError
 from repro.eval.drive import run_drive
 from repro.eval.library import net_route
-from repro.eval.spec import ScenarioSpec
+from repro.eval.spec import ScenarioSpec, check_params
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NullTracer, Tracer
 
 __all__ = ["ScenarioRun", "run_scenario"]
+
+_PIPELINE_KEYS = (
+    "pathway", "n_records", "epochs", "camera_hw", "model_scale", "eval_ticks",
+)
+_SERVE_KEYS = (
+    "duration_s", "service", "workload", "net", "faults", "trace_requests",
+    "autoscale",
+)
+_SERVICE_KEYS = (
+    "replicas", "router", "batch_policy", "max_batch", "max_wait_s",
+    "queue_capacity", "queue_policy", "gpu", "flops_per_frame",
+)
+_WORKLOAD_KEYS = {
+    "poisson": ("shape", "rate_hz", "deadline_s"),
+    "vehicles": ("shape", "n_vehicles", "deadline_ticks"),
+}
+_AUTOSCALE_KEYS = ("max_replicas", "provision_delay_s")
 
 
 @dataclass
@@ -48,13 +65,13 @@ def _instrumentation(clock, instrument: bool):
     return NullTracer(), None
 
 
-def _run_pipeline(
+def _pipeline_scenario(
     spec: ScenarioSpec, seed: int, work_dir: Path, instrument: bool
 ) -> ScenarioRun:
     from repro.core.pipeline import AutoLearnPipeline
     from repro.testbed.chameleon import Chameleon
 
-    params = spec.params
+    params = check_params(spec.name, spec.params, _PIPELINE_KEYS)
     chameleon = Chameleon()
     tracer, metrics = _instrumentation(chameleon.clock, instrument)
     pathway = str(params.get("pathway", "digital"))
@@ -86,65 +103,99 @@ def _run_pipeline(
     )
 
 
-def _make_workload(workload_params: dict, seed: int):
+def _make_workload(workload_params: Any, seed: int):
     from repro.serve.workload import PoissonWorkload, VehicleFleetWorkload
 
-    shape = str(workload_params.get("shape", "poisson"))
+    shape = "poisson"
+    if isinstance(workload_params, dict):
+        shape = str(workload_params.get("shape", shape))
+    if shape not in _WORKLOAD_KEYS:
+        raise ConfigurationError(
+            f"unknown workload shape {shape!r}; choose poisson or vehicles"
+        )
+    params = check_params(
+        f"{shape} workload", workload_params, _WORKLOAD_KEYS[shape]
+    )
     if shape == "poisson":
         return PoissonWorkload(
-            float(workload_params.get("rate_hz", 50.0)),
-            deadline_s=float(workload_params.get("deadline_s", 0.1)),
+            float(params.get("rate_hz", 50.0)),
+            deadline_s=float(params.get("deadline_s", 0.1)),
             seed=seed,
         )
-    if shape == "vehicles":
-        return VehicleFleetWorkload(
-            int(workload_params.get("n_vehicles", 16)),
-            deadline_ticks=int(workload_params.get("deadline_ticks", 2)),
-            seed=seed,
-        )
-    raise ConfigurationError(
-        f"unknown workload shape {shape!r}; choose poisson or vehicles"
+    return VehicleFleetWorkload(
+        int(params.get("n_vehicles", 16)),
+        deadline_ticks=int(params.get("deadline_ticks", 2)),
+        seed=seed,
     )
 
 
-def _run_serve(spec: ScenarioSpec, seed: int, instrument: bool) -> ScenarioRun:
-    from repro.faults.injector import FaultInjector
-    from repro.faults.plan import FaultPlan
+def _make_service(service_params: Any, scheduler, seed: int, **wiring):
+    """The one :class:`InferenceService` construction for serve and chaos.
+
+    ``wiring`` carries the per-kind collaborators (tracer, metrics,
+    injector, route, request bookkeeping); defaults for the service
+    params equal the constructor's.
+    """
     from repro.serve.replica import BatchLatencyModel
     from repro.serve.service import InferenceService
     from repro.testbed.hardware import gpu_spec
 
-    params = spec.params
+    params = check_params("service", service_params, _SERVICE_KEYS)
+    latency_model = BatchLatencyModel.from_gpu(
+        gpu_spec(str(params.get("gpu", "V100"))),
+        flops_per_frame=float(params.get("flops_per_frame", 1e8)),
+    )
+    return InferenceService(
+        latency_model,
+        scheduler=scheduler,
+        n_replicas=int(params.get("replicas", 1)),
+        router=str(params.get("router", "least-outstanding")),
+        batch_policy=str(params.get("batch_policy", "adaptive")),
+        max_batch=int(params.get("max_batch", 32)),
+        max_wait_s=float(params.get("max_wait_s", 0.008)),
+        queue_capacity=int(params.get("queue_capacity", 256)),
+        queue_policy=str(params.get("queue_policy", "drop")),
+        seed=seed,
+        **wiring,
+    )
+
+
+def _serve_scenario(spec: ScenarioSpec, seed: int, instrument: bool) -> ScenarioRun:
+    from repro.faults.injector import FaultInjector
+    from repro.faults.plan import FaultPlan
+    from repro.serve.autoscale import AutoscalePolicy, Autoscaler
+
+    params = check_params(spec.name, spec.params, _SERVE_KEYS)
     scheduler = EventScheduler()
     tracer, metrics = _instrumentation(scheduler.clock, instrument)
-    service_params = dict(params.get("service", {}))
     plan = FaultPlan.from_dicts(params.get("faults", []))
     injector = None
     if len(plan):
         injector = FaultInjector(
             plan, seed=seed, tracer=tracer if instrument else None
         )
-    latency_model = BatchLatencyModel.from_gpu(
-        gpu_spec(str(service_params.get("gpu", "V100"))),
-        flops_per_frame=float(service_params.get("flops_per_frame", 1e8)),
-    )
-    service = InferenceService(
-        latency_model,
-        scheduler=scheduler,
-        n_replicas=int(service_params.get("replicas", 1)),
-        router=str(service_params.get("router", "least-outstanding")),
-        batch_policy=str(service_params.get("batch_policy", "adaptive")),
-        queue_capacity=int(service_params.get("queue_capacity", 256)),
-        queue_policy=str(service_params.get("queue_policy", "drop")),
+    service = _make_service(
+        params.get("service", {}),
+        scheduler,
+        seed,
         route=net_route(str(params.get("net", "lan"))),
-        seed=seed,
         injector=injector,
         tracer=tracer if instrument else None,
         metrics=metrics,
         trace_requests=bool(params.get("trace_requests", False)),
     )
-    workload = _make_workload(dict(params.get("workload", {})), seed)
-    summary = service.run(workload, float(params.get("duration_s", 1.0)))
+    workload = _make_workload(params.get("workload", {}), seed)
+    autoscaler = None
+    if "autoscale" in params:
+        autoscale = check_params("autoscale", params["autoscale"], _AUTOSCALE_KEYS)
+        autoscaler = Autoscaler(service, AutoscalePolicy(
+            min_replicas=len(service.replicas),
+            p95_target_s=workload.deadline_s,
+            **autoscale,
+        ))
+    summary = service.run(
+        workload, float(params.get("duration_s", 1.0)), autoscaler=autoscaler
+    )
     tracer.close_all()
     return ScenarioRun(
         spec, seed, tracer, metrics, summary.to_text(),
@@ -152,40 +203,79 @@ def _run_serve(spec: ScenarioSpec, seed: int, instrument: bool) -> ScenarioRun:
     )
 
 
-def _run_chaos(spec: ScenarioSpec, seed: int, instrument: bool) -> ScenarioRun:
-    from repro.serve.chaos import ChaosScenario, run_chaos
+def _chaos_scenario(spec: ScenarioSpec, seed: int, instrument: bool) -> ScenarioRun:
+    """Play a fault plan against a closed-loop fleet, then re-check
+    request conservation (a lost request raises, it is never scored)."""
+    from repro.faults.injector import FaultInjector
+    from repro.serve.autoscale import AutoscalePolicy, Autoscaler
+    from repro.serve.chaos import ChaosScenario, ChaosSummary, check_conservation
+    from repro.serve.workload import VehicleFleetWorkload
 
+    params = check_params(spec.name, spec.params, ("scenario",))
     scheduler = EventScheduler()
     tracer, metrics = _instrumentation(scheduler.clock, instrument)
-    scenario = ChaosScenario.from_dict(dict(spec.params.get("scenario", {})))
-    summary = run_chaos(
-        scenario,
-        seed=seed,
+    scenario = ChaosScenario.from_dict(dict(params.get("scenario", {})))
+    injector = FaultInjector(
+        scenario.plan, seed=seed, tracer=tracer if instrument else None
+    )
+    service = _make_service(
+        {k: v for k, v in scenario.to_dict().items() if k in _SERVICE_KEYS},
+        scheduler,
+        seed,
+        keep_requests=True,
+        injector=injector,
         tracer=tracer if instrument else None,
         metrics=metrics,
-        scheduler=scheduler,
     )
+    workload = VehicleFleetWorkload(
+        scenario.vehicles, deadline_ticks=scenario.deadline_ticks, seed=seed
+    )
+    autoscaler = None
+    if scenario.autoscale:
+        autoscaler = Autoscaler(service, AutoscalePolicy(
+            min_replicas=scenario.replicas,
+            max_replicas=scenario.max_replicas,
+            provision_delay_s=scenario.provision_delay_s,
+        ))
+    serve = service.run(workload, scenario.duration_s, autoscaler=autoscaler)
+    check_conservation(service)
     tracer.close_all()
+    summary = ChaosSummary(
+        scenario=scenario.name,
+        seed=seed,
+        planned=len(scenario.plan),
+        started=injector.started,
+        cleared=injector.cleared,
+        serve=serve,
+        fresh_response_ratio=workload.fresh_response_ratio,
+        max_stale_streak=workload.stats.max_stale_streak,
+        lost_responses=workload.stats.lost_responses,
+        conserved=True,
+        stale_ratio=workload.stale_ratio,
+    )
     return ScenarioRun(
         spec, seed, tracer, metrics, summary.to_text(), {"summary": summary}
     )
 
 
-def _run_fleet(spec: ScenarioSpec, seed: int, instrument: bool) -> ScenarioRun:
+def _fleet_scenario(spec: ScenarioSpec, seed: int, instrument: bool) -> ScenarioRun:
     from repro.faults.plan import FaultPlan
     from repro.fleet import FleetConfig, FleetLoop, GateThresholds
 
     params = dict(spec.params)
     scheduler = EventScheduler()
     tracer, metrics = _instrumentation(scheduler.clock, instrument)
-    gates = GateThresholds(**dict(params.pop("gates", {})))
-    plans = tuple(
-        (int(entry["round"]), FaultPlan.from_dicts(entry["faults"]))
-        for entry in params.pop("canary_fault_plans", [])
-    )
+    gates = params.pop("gates", {})
+    plans = []
+    for raw in params.pop("canary_fault_plans", []):
+        entry = check_params("canary fault plan", raw, ("round", "faults"))
+        plans.append((int(entry["round"]), FaultPlan.from_dicts(entry["faults"])))
     try:
         config = FleetConfig(
-            gates=gates, canary_fault_plans=plans, seed=seed, **params
+            gates=GateThresholds(**gates),
+            canary_fault_plans=tuple(plans),
+            seed=seed,
+            **params,
         )
     except TypeError as exc:
         raise ConfigurationError(f"bad fleet spec {spec.name!r}: {exc}") from None
@@ -202,7 +292,7 @@ def _run_fleet(spec: ScenarioSpec, seed: int, instrument: bool) -> ScenarioRun:
     )
 
 
-def _run_drive(spec: ScenarioSpec, seed: int, instrument: bool) -> ScenarioRun:
+def _drive_scenario(spec: ScenarioSpec, seed: int, instrument: bool) -> ScenarioRun:
     scheduler = EventScheduler()
     tracer, metrics = _instrumentation(scheduler.clock, instrument)
     summary, artifacts = run_drive(
@@ -212,6 +302,14 @@ def _run_drive(spec: ScenarioSpec, seed: int, instrument: bool) -> ScenarioRun:
     return ScenarioRun(
         spec, seed, tracer, metrics, summary, {"artifacts": artifacts}
     )
+
+
+_RUNNERS = {
+    "serve": _serve_scenario,
+    "chaos": _chaos_scenario,
+    "fleet": _fleet_scenario,
+    "drive": _drive_scenario,
+}
 
 
 def run_scenario(
@@ -231,15 +329,9 @@ def run_scenario(
     seed = int(seed)
     if spec.kind == "pipeline":
         if work_dir is not None:
-            return _run_pipeline(spec, seed, Path(work_dir), instrument)
+            return _pipeline_scenario(spec, seed, Path(work_dir), instrument)
         with tempfile.TemporaryDirectory() as tmp:
-            return _run_pipeline(spec, seed, Path(tmp), instrument)
-    if spec.kind == "serve":
-        return _run_serve(spec, seed, instrument)
-    if spec.kind == "chaos":
-        return _run_chaos(spec, seed, instrument)
-    if spec.kind == "fleet":
-        return _run_fleet(spec, seed, instrument)
-    if spec.kind == "drive":
-        return _run_drive(spec, seed, instrument)
-    raise ConfigurationError(f"unknown scenario kind {spec.kind!r}")
+            return _pipeline_scenario(spec, seed, Path(tmp), instrument)
+    if spec.kind not in _RUNNERS:
+        raise ConfigurationError(f"unknown scenario kind {spec.kind!r}")
+    return _RUNNERS[spec.kind](spec, seed, instrument)

@@ -37,6 +37,7 @@ __all__ = [
     "merge_overrides",
     "apply_overrides",
     "canonical_json",
+    "check_params",
 ]
 
 #: Scenario kinds understood by :mod:`repro.eval.runner`.
@@ -69,6 +70,24 @@ def _check_json_value(value: Any, where: str) -> None:
     raise ConfigurationError(
         f"value at {where!r} is not a JSON type: {type(value).__name__}"
     )
+
+
+def check_params(where: str, params: Any, known: tuple[str, ...]) -> dict:
+    """``params`` as a dict, rejecting any key a runner would not read.
+
+    Runners read spec params with defaults, so without this a misspelt
+    override (``service.replcas=4``) would silently run the base spec.
+    """
+    if not isinstance(params, dict):
+        raise ConfigurationError(
+            f"{where} params must be a mapping, got {type(params).__name__}"
+        )
+    unknown = sorted(set(params) - set(known))
+    if unknown:
+        raise ConfigurationError(
+            f"unknown {where} params {unknown}; known: {sorted(known)}"
+        )
+    return params
 
 
 def merge_overrides(*overrides: Mapping[str, Any]) -> dict[str, Any]:

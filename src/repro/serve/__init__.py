@@ -8,7 +8,7 @@ deterministic — every random draw is seeded, every timestamp simulated.
 
 from repro.serve.autoscale import AutoscalePolicy, Autoscaler
 from repro.serve.batcher import BATCH_POLICIES, BatchDecision, MicroBatcher
-from repro.serve.chaos import ChaosScenario, ChaosSummary, default_plan, run_chaos
+from repro.serve.chaos import ChaosScenario, ChaosSummary, default_plan
 from repro.serve.queueing import QUEUE_POLICIES, AdmissionPolicy, AdmissionQueue
 from repro.serve.replica import BatchLatencyModel, Replica, ReplicaState
 from repro.serve.request import Request, RequestStatus
@@ -55,5 +55,4 @@ __all__ = [
     "Workload",
     "default_plan",
     "make_router",
-    "run_chaos",
 ]

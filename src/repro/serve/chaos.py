@@ -1,38 +1,30 @@
 """Chaos scenarios: a fault plan played against a serving fleet.
 
 A :class:`ChaosScenario` bundles one serving configuration with one
-:class:`~repro.faults.plan.FaultPlan`; :func:`run_chaos` plays it on a
-fresh :class:`~repro.common.clock.EventScheduler` and returns a
-:class:`ChaosSummary` whose :meth:`~ChaosSummary.to_text` is
-byte-identical per seed — the property ``autolearn chaos`` and the
-chaos regression suite pin.
+:class:`~repro.faults.plan.FaultPlan`.  A ``chaos``-kind scenario spec
+carries it as data; the scenario runner (``autolearn run chaos-crash``)
+plays it on a fresh :class:`~repro.common.clock.EventScheduler` and
+reports a :class:`ChaosSummary` whose :meth:`~ChaosSummary.to_text` is
+byte-identical per seed.
 
-Every run re-checks request conservation: each admitted request ends in
-exactly one terminal status, completions are unique, and the SLO
-counters satisfy ``offered == completed + dropped + shed + rejected +
-expired``.  A violation raises :class:`~repro.common.errors.FaultError`
-— losing a request during a crash is a bug in the rescue path, not an
-acceptable outcome.
+Every run re-checks request conservation (:func:`check_conservation`):
+each admitted request ends in exactly one terminal status, completions
+are unique, and the SLO counters satisfy ``offered == completed +
+dropped + shed + rejected + expired``.  A violation raises
+:class:`~repro.common.errors.FaultError` — losing a request during a
+crash is a bug in the rescue path, not an acceptable outcome.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
-from repro.common.clock import EventScheduler
 from repro.common.errors import ConfigurationError, FaultError
-from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import Tracer
-from repro.serve.autoscale import AutoscalePolicy, Autoscaler
-from repro.serve.replica import BatchLatencyModel
 from repro.serve.request import TERMINAL_STATUSES, RequestStatus
 from repro.serve.service import InferenceService, ServeSummary
-from repro.serve.workload import VehicleFleetWorkload
-from repro.testbed.hardware import gpu_spec
 
-__all__ = ["ChaosScenario", "ChaosSummary", "default_plan", "run_chaos"]
+__all__ = ["ChaosScenario", "ChaosSummary", "check_conservation", "default_plan"]
 
 
 def default_plan(replicas: int) -> FaultPlan:
@@ -82,37 +74,17 @@ class ChaosScenario:
             )
 
     def to_dict(self) -> dict:
-        """JSON-ready view (scenario files)."""
-        return {
-            "name": self.name,
-            "duration_s": self.duration_s,
-            "vehicles": self.vehicles,
-            "replicas": self.replicas,
-            "router": self.router,
-            "batch_policy": self.batch_policy,
-            "queue_capacity": self.queue_capacity,
-            "queue_policy": self.queue_policy,
-            "deadline_ticks": self.deadline_ticks,
-            "gpu": self.gpu,
-            "flops_per_frame": self.flops_per_frame,
-            "faults": self.plan.to_dicts(),
-            "autoscale": self.autoscale,
-            "max_replicas": self.max_replicas,
-            "provision_delay_s": self.provision_delay_s,
-        }
+        """JSON-ready view (scenario files): the fields, ``plan`` as ``faults``."""
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "plan"}
+        out["faults"] = self.plan.to_dicts()
+        return out
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ChaosScenario":
         """Parse a scenario file (unknown keys rejected)."""
         payload = dict(payload)
         plan = FaultPlan.from_dicts(payload.pop("faults", []))
-        known = {
-            "name", "duration_s", "vehicles", "replicas", "router",
-            "batch_policy", "queue_capacity", "queue_policy",
-            "deadline_ticks", "gpu", "flops_per_frame", "autoscale",
-            "max_replicas", "provision_delay_s",
-        }
-        unknown = set(payload) - known
+        unknown = set(payload) - {f.name for f in fields(cls)} - {"plan"}
         if unknown:
             raise ConfigurationError(
                 f"unknown scenario keys: {sorted(unknown)}"
@@ -138,19 +110,9 @@ class ChaosSummary:
 
     def to_dict(self) -> dict:
         """JSON-ready view."""
-        return {
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "planned": self.planned,
-            "started": self.started,
-            "cleared": self.cleared,
-            "serve": self.serve.to_dict(),
-            "fresh_response_ratio": self.fresh_response_ratio,
-            "max_stale_streak": self.max_stale_streak,
-            "lost_responses": self.lost_responses,
-            "conserved": self.conserved,
-            "stale_ratio": self.stale_ratio,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["serve"] = self.serve.to_dict()
+        return out
 
     def to_text(self) -> str:
         """Fixed-format report; byte-identical across same-seed runs."""
@@ -170,7 +132,7 @@ class ChaosSummary:
         return "\n".join(lines) + "\n"
 
 
-def _check_conservation(service: InferenceService) -> None:
+def check_conservation(service: InferenceService) -> None:
     """Raise :class:`FaultError` unless every request is accounted for."""
     slo = service.slo
     if slo.offered != slo.completed + slo.losses:
@@ -195,68 +157,3 @@ def _check_conservation(service: InferenceService) -> None:
     ]
     if len(completed) != len(set(completed)):
         raise FaultError("a request completed more than once")
-
-
-def run_chaos(
-    scenario: ChaosScenario,
-    seed: int = 0,
-    tracer: Tracer | None = None,
-    metrics: MetricsRegistry | None = None,
-    scheduler: EventScheduler | None = None,
-) -> ChaosSummary:
-    """Play one scenario; returns a per-seed byte-identical summary.
-
-    A ``tracer`` is threaded through both the injector (fault
-    start/clear instants) and the service (replica, batch, hang spans);
-    ``metrics`` collects the serving counters.  Pass the ``scheduler``
-    explicitly when tracing so the tracer can be built on the run's own
-    clock; the caller owns any still-open spans at return — call
-    ``tracer.close_all()`` when the run is over.
-    """
-    if scheduler is None:
-        scheduler = EventScheduler()
-    injector = FaultInjector(scenario.plan, seed=seed, tracer=tracer)
-    latency_model = BatchLatencyModel.from_gpu(
-        gpu_spec(scenario.gpu), flops_per_frame=scenario.flops_per_frame
-    )
-    service = InferenceService(
-        latency_model,
-        scheduler=scheduler,
-        n_replicas=scenario.replicas,
-        router=scenario.router,
-        batch_policy=scenario.batch_policy,
-        queue_capacity=scenario.queue_capacity,
-        queue_policy=scenario.queue_policy,
-        seed=seed,
-        keep_requests=True,
-        injector=injector,
-        tracer=tracer,
-        metrics=metrics,
-    )
-    workload = VehicleFleetWorkload(
-        scenario.vehicles,
-        deadline_ticks=scenario.deadline_ticks,
-        seed=seed,
-    )
-    autoscaler = None
-    if scenario.autoscale:
-        autoscaler = Autoscaler(service, AutoscalePolicy(
-            min_replicas=scenario.replicas,
-            max_replicas=scenario.max_replicas,
-            provision_delay_s=scenario.provision_delay_s,
-        ))
-    summary = service.run(workload, scenario.duration_s, autoscaler=autoscaler)
-    _check_conservation(service)
-    return ChaosSummary(
-        scenario=scenario.name,
-        seed=int(seed),
-        planned=len(scenario.plan),
-        started=injector.started,
-        cleared=injector.cleared,
-        serve=summary,
-        fresh_response_ratio=workload.fresh_response_ratio,
-        max_stale_streak=workload.stats.max_stale_streak,
-        lost_responses=workload.stats.lost_responses,
-        conserved=True,
-        stale_ratio=workload.stale_ratio,
-    )

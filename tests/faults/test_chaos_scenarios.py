@@ -9,10 +9,18 @@ from repro.common.errors import ConfigurationError
 from repro.common.eventlog import EventLog
 from repro.faults.breaker import BreakerState
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
-from repro.serve.chaos import ChaosScenario, default_plan, run_chaos
+from repro.eval.runner import run_scenario
+from repro.eval.spec import ScenarioSpec
+from repro.serve.chaos import ChaosScenario, default_plan
 from repro.serve.replica import ReplicaState
 from repro.serve.request import RequestStatus, TERMINAL_STATUSES
 from repro.serve.workload import PoissonWorkload, VehicleFleetWorkload
+
+
+def play(scenario, seed):
+    """Run one chaos scenario through the scenario runner."""
+    spec = ScenarioSpec("chaos", "chaos", {"scenario": scenario.to_dict()})
+    return run_scenario(spec, seed=seed, instrument=False)
 
 
 class TestCrashConservation:
@@ -150,29 +158,36 @@ class TestDeterminism:
             plan=default_plan(2), provision_delay_s=0.5,
         )
 
-    def test_run_chaos_byte_identical_per_seed(self):
-        a = run_chaos(self.scenario(), seed=3)
-        b = run_chaos(self.scenario(), seed=3)
-        assert a.to_text() == b.to_text()
-        assert a.to_dict() == b.to_dict()
+    def test_chaos_spec_byte_identical_per_seed(self):
+        a = play(self.scenario(), seed=3)
+        b = play(self.scenario(), seed=3)
+        assert a.summary == b.summary
+        assert a.artifacts["summary"].to_dict() == b.artifacts["summary"].to_dict()
 
     def test_different_seeds_differ(self):
-        a = run_chaos(self.scenario(), seed=3)
-        b = run_chaos(self.scenario(), seed=4)
-        assert a.to_text() != b.to_text()
+        a = play(self.scenario(), seed=3)
+        b = play(self.scenario(), seed=4)
+        assert a.summary != b.summary
 
     def test_cli_chaos_byte_identical(self, capsys):
-        argv = ["chaos", "--seed", "3", "--duration", "5", "--vehicles", "24"]
+        scenario = {
+            "name": "default", "duration_s": 5, "vehicles": 24,
+            "replicas": 3, "faults": default_plan(3).to_dicts(),
+        }
+        argv = ["run", "chaos-crash", "-o", f"scenario={json.dumps(scenario)}",
+                "--seed", "3"]
         assert main(argv) == 0
         first = capsys.readouterr().out
         assert main(argv) == 0
         assert capsys.readouterr().out == first
+        assert first.startswith("chaos scenario 'default' seed=3\n")
         assert "conserved yes" in first
 
     def test_cli_scenario_file(self, tmp_path, capsys):
         path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(self.scenario().to_dict()))
-        assert main(["chaos", "--scenario", str(path), "--seed", "2"]) == 0
+        spec = ScenarioSpec("det", "chaos", {"scenario": self.scenario().to_dict()})
+        path.write_text(json.dumps(spec.to_dict()))
+        assert main(["run", str(path), "--seed", "2"]) == 0
         out = capsys.readouterr().out
         assert "chaos scenario 'det' seed=2" in out
 
@@ -196,12 +211,14 @@ class TestScenario:
             default_plan(0)
 
     def test_summary_embeds_serve_report(self):
-        summary = run_chaos(
+        run = play(
             ChaosScenario(duration_s=4.0, vehicles=16, replicas=2,
                           plan=default_plan(2)),
             seed=1,
         )
+        summary = run.artifacts["summary"]
         text = summary.to_text()
+        assert text == run.summary
         assert "serve summary" in text
         assert "faults    crashes=" in text
         assert summary.conserved

@@ -1,9 +1,9 @@
 """Golden-trace regression harness.
 
-Each canonical scenario in :data:`repro.scenarios.TRACE_SCENARIOS` is
-run at seed 0 and its full observable surface — normalized span tree,
-instant events, metrics snapshot, text summary — is compared byte for
-byte against ``tests/obs/golden/<name>.json``.
+Each traced library scenario in :data:`TRACED` is run through
+the scenario runner at seed 0 and its full observable surface —
+normalized span tree, instant events, metrics snapshot, text summary —
+is compared byte for byte against ``tests/obs/golden/<name>.json``.
 
 Any behavioural drift in the traced layers (batch sizing, routing,
 fault timing, pipeline stage costs) shows up here as a readable JSON
@@ -23,15 +23,28 @@ from pathlib import Path
 
 import pytest
 
+from repro.eval.library import scenario_spec
+from repro.eval.runner import run_scenario
 from repro.obs.export import chrome_trace, normalized_trace
-from repro.scenarios import TRACE_SCENARIOS, run_trace_scenario
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+
+#: The library scenarios with a golden trace under ``golden/``.
+TRACED = (
+    "pipeline-quickstart",
+    "serve-load",
+    "chaos-crash",
+    "fleet-canary-chaos",
+)
+
+
+def run_traced(name: str, seed: int, work_dir: Path):
+    return run_scenario(scenario_spec(name), seed=seed, work_dir=work_dir)
 
 
 def render_scenario(name: str, seed: int, work_dir: Path) -> str:
     """The canonical golden text for one scenario run."""
-    result = run_trace_scenario(name, seed=seed, work_dir=work_dir)
+    result = run_traced(name, seed, work_dir)
     payload = {
         "scenario": name,
         "seed": seed,
@@ -42,7 +55,7 @@ def render_scenario(name: str, seed: int, work_dir: Path) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-@pytest.mark.parametrize("name", TRACE_SCENARIOS)
+@pytest.mark.parametrize("name", TRACED)
 def test_golden_trace(name, request, tmp_path):
     current = render_scenario(name, 0, tmp_path)
     path = GOLDEN_DIR / f"{name}.json"
@@ -70,11 +83,11 @@ def test_golden_trace(name, request, tmp_path):
         )
 
 
-@pytest.mark.parametrize("name", TRACE_SCENARIOS)
+@pytest.mark.parametrize("name", TRACED)
 def test_same_seed_same_bytes(name, tmp_path):
     """Two fresh runs at one seed export byte-identical artifacts."""
-    first = run_trace_scenario(name, seed=3, work_dir=tmp_path / "a")
-    second = run_trace_scenario(name, seed=3, work_dir=tmp_path / "b")
+    first = run_traced(name, 3, tmp_path / "a")
+    second = run_traced(name, 3, tmp_path / "b")
     assert chrome_trace(first.tracer) == chrome_trace(second.tracer)
     assert first.metrics.to_json() == second.metrics.to_json()
     assert first.summary == second.summary
